@@ -18,12 +18,12 @@ from .money import cents_to_str, cents_to_units, to_cents
 from .oracles import (LookaheadResult, PonlyPolicy, PonlySolution,
                       brute_force_slot_min, drift_rebalance,
                       enumerate_actions, lookahead_psi, solve_phi_opt)
-from .prices import (MarkovPriceModel, MemoryParams, PriceDistribution,
-                     PriceTrace, load_trace, make_rng, sample_iid,
-                     save_trace, stationary_distribution, step_markov)
+from .prices import (MarkovPriceModel, PriceDistribution, PriceTrace,
+                     load_trace, make_rng, sample_iid, save_trace,
+                     stationary_distribution, step_markov)
 from .trader import (SlotSolver, TraderParams, Trajectory, compute_theta,
                      placeholder_wrap, queue_band, run_backtest, run_profit,
-                     scaled_windows_run, startup_cost, trader_step)
+                     scaled_windows_run, startup_cost)
 
 __version__ = "0.1.0"
 

@@ -15,7 +15,7 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import StatisticalPowerError, StructuralError
-from .market import (BUDGET, MarketSpec, PortfolioState, TradeDecision,
+from .market import (MarketSpec, PortfolioState, TradeDecision, slot_profit,
                      validate_decision)
 from .money import cents_to_units
 from .trader import SlotSolver, TraderParams, Trajectory, _as_fraction
@@ -183,8 +183,7 @@ def verify_slot_optimality(traj: Trajectory, alternatives) -> BoundReport:
 
 
 def _phi_dollars(spec, prices, d: TradeDecision) -> Fraction:
-    from .oracles import action_profit
-    return cents_to_units(action_profit(spec, prices, d))
+    return cents_to_units(slot_profit(spec, prices, d))
 
 
 def verify_tslot_lemma(traj: Trajectory, alt_sequence, t0: int,

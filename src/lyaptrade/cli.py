@@ -19,10 +19,10 @@ from dataclasses import replace
 from fractions import Fraction
 
 from . import __version__
-from .analysis import (BoundReport, check_frame_drift, compute_constants,
-                       measure_memory_epsilon, verify_queue_band,
-                       verify_slot_optimality, verify_thm1_profit,
-                       verify_thm2_profit, verify_thm3, FAIL, PASS)
+from .analysis import (BoundReport, check_frame_drift, measure_memory_epsilon,
+                       verify_queue_band, verify_slot_optimality,
+                       verify_thm1_profit, verify_thm2_profit, verify_thm3,
+                       FAIL, PASS)
 from .config import ExperimentConfig, config_to_json, load_config
 from .errors import (CapacityError, ConfigError, LyaptradeError, ParseError,
                      StatisticalPowerError, StructuralError)
@@ -77,18 +77,21 @@ def _run_one(spec, params, source, horizon, seed, records, r):
     return r, (total, queue)
 
 
+def _dynamics_report(traj: Trajectory, rep: int) -> BoundReport:
+    try:
+        traj.check_dynamics()
+    except StructuralError as exc:
+        return BoundReport(FAIL, -1.0, rep,
+                           {"check": "dynamics", "error": str(exc)})
+    return BoundReport(PASS, detail={"check": "dynamics"})
+
+
 def _deterministic_checks(cfg, spec, params, traj: Trajectory, rep: int):
     reports = {}
     opts = cfg.options
     for name in cfg.verify:
         if name == "dynamics":
-            try:
-                traj.check_dynamics()
-                reports[name] = BoundReport(PASS, detail={"check": "dynamics"})
-            except StructuralError as exc:
-                reports[name] = BoundReport(FAIL, -1.0, rep,
-                                            {"check": "dynamics",
-                                             "error": str(exc)})
+            reports[name] = _dynamics_report(traj, rep)
         elif name == "queue_band":
             reports[name] = verify_queue_band(traj)
         elif name == "slot_optimality":
@@ -273,8 +276,11 @@ def cmd_verify(cfg: ExperimentConfig, trajectory_path, out_dir) -> int:
     _, spec, params = _resolved(cfg)
     with open(trajectory_path) as fh:
         traj = Trajectory.from_csv(fh, spec, params)
-    traj.check_dynamics()
-    reports = _deterministic_checks(cfg, spec, params, traj, 0)
+    # The other checks assume the queue recursion holds, so a trajectory
+    # that breaks it is reported as a dynamics failure alone.
+    dynamics = _dynamics_report(traj, 0)
+    reports = _deterministic_checks(cfg, spec, params, traj, 0) \
+        if dynamics.ok else {"dynamics": dynamics}
     body = {"reports": {k: v.to_json() for k, v in reports.items()}}
     _emit(_bundle(cfg, body), out_dir)
     return _exit_for(reports)

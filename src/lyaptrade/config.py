@@ -15,7 +15,7 @@ from fractions import Fraction
 from .errors import ConfigError
 from .market import MarketSpec
 from .money import to_cents
-from .prices import MarkovPriceModel, PriceDistribution, PriceTrace, load_trace
+from .prices import MarkovPriceModel, PriceDistribution, load_trace
 from .trader import TraderParams, _as_fraction
 
 KNOWN_CHECKS = ("dynamics", "queue_band", "slot_optimality",

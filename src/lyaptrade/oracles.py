@@ -9,23 +9,17 @@
 from __future__ import annotations
 
 import itertools
-import os
 from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import CapacityError, StructuralError
-from .market import MarketSpec, TradeDecision
+from .market import MarketSpec, TradeDecision, slot_profit
 from .money import cents_to_units
 from .prices import PriceDistribution
-from .trader import SlotSolver, TraderParams
+from .trader import SlotSolver, TraderParams, capacity_cells
 
 DEFAULT_ENUM_CAP = 10 ** 6
 DEFAULT_SEARCH_CAP = 10 ** 8
-
-
-def _cap(default: int) -> int:
-    env = os.environ.get("LYAPTRADE_CAPACITY_CELLS")
-    return int(env) if env else default
 
 
 @dataclass(frozen=True)
@@ -54,7 +48,7 @@ def enumerate_actions(spec: MarketSpec, prices, queue=None,
     passing a queue additionally caps sells by current holdings.
     """
     prices = spec.check_prices(prices)
-    cap = cap if cap is not None else _cap(DEFAULT_ENUM_CAP)
+    cap = cap if cap is not None else capacity_cells(DEFAULT_ENUM_CAP)
     sell_opts = _sell_options(spec, prices, queue)
     buy_opts = [range(s.mu_max + 1) for s in spec.stocks]
     bound = 1
@@ -74,14 +68,6 @@ def enumerate_actions(spec: MarketSpec, prices, queue=None,
         for sells in itertools.product(*sell_opts):
             actions.append(TradeDecision(buys, sells))
     return ActionSet(prices, tuple(actions))
-
-
-def action_profit(spec: MarketSpec, prices, d: TradeDecision) -> int:
-    """Slot profit of an action at fixed prices, in cents."""
-    total = 0
-    for s, p, a, m in zip(spec.stocks, prices, d.buys, d.sells):
-        total += m * p - s.sell_cost(m) - a * p - s.buy_cost(a)
-    return total
 
 
 @dataclass(frozen=True)
@@ -120,17 +106,16 @@ def _evaluate_policy(spec, dist, table):
         for d, q in acts:
             if q == 0:
                 continue
-            profit += pi * q * cents_to_units(action_profit(spec, price, d))
+            profit += pi * q * cents_to_units(slot_profit(spec, price, d))
             for n in range(spec.n_stocks):
                 drifts[n] += pi * q * (d.buys[n] - d.sells[n])
     return profit, tuple(drifts)
 
 
-def solve_phi_opt(spec: MarketSpec, dist: PriceDistribution,
-                  exact: bool = True) -> PonlySolution:
+def solve_phi_opt(spec: MarketSpec, dist: PriceDistribution) -> PonlySolution:
     """Optimal price-only policy: maximize expected slot profit over
     per-price action distributions subject to non-negative expected net
-    accumulation for every stock.  Exact rational simplex by default."""
+    accumulation for every stock, by exact rational simplex."""
     from .simplex import EQ, GEQ, solve_lp
 
     dist.check_against(spec)
@@ -139,9 +124,8 @@ def solve_phi_opt(spec: MarketSpec, dist: PriceDistribution,
     for i, aset in enumerate(sets):
         for j in range(len(aset.actions)):
             index.append((i, j))
-    nvars = len(index)
     objective = [dist.probs[i] * cents_to_units(
-        action_profit(spec, sets[i].price, sets[i].actions[j]))
+        slot_profit(spec, sets[i].price, sets[i].actions[j]))
         for i, j in index]
     constraints = []
     for i in range(len(sets)):
@@ -152,7 +136,7 @@ def solve_phi_opt(spec: MarketSpec, dist: PriceDistribution,
                                 - sets[i].actions[j].sells[n])
                for i, j in index]
         constraints.append((row, GEQ, 0))
-    value, x = solve_lp(objective, constraints, maximize=True, exact=exact)
+    _, x = solve_lp(objective, constraints, maximize=True)
     table = []
     pos = 0
     for i, aset in enumerate(sets):
@@ -161,13 +145,13 @@ def solve_phi_opt(spec: MarketSpec, dist: PriceDistribution,
             q = x[pos]
             pos += 1
             if q > 0:
-                acts.append((aset.actions[j], Fraction(q)))
+                acts.append((aset.actions[j], q))
         table.append((aset.price, tuple(acts)))
     policy = PonlyPolicy(tuple(table))
     profit, drifts = _evaluate_policy(spec, dist, policy.table)
     if profit < 0:
         raise StructuralError("optimal price-only profit cannot be negative")
-    if any(d < -Fraction(1, 10 ** 9) for d in drifts):
+    if any(d < 0 for d in drifts):
         raise StructuralError("LP returned a negative-drift policy")
     return PonlySolution(policy, profit, drifts, spec, dist)
 
@@ -240,11 +224,11 @@ def lookahead_psi(spec: MarketSpec, window) -> LookaheadResult:
     T = len(window)
     if T < 1:
         raise StructuralError("lookahead window must have at least one slot")
-    cap = _cap(DEFAULT_SEARCH_CAP)
+    cap = capacity_cells(DEFAULT_SEARCH_CAP)
     slot_actions = []
     for p in window:
         aset = enumerate_actions(spec, p)
-        scored = sorted(((action_profit(spec, p, d), d) for d in aset.actions),
+        scored = sorted(((slot_profit(spec, p, d), d) for d in aset.actions),
                         key=lambda t: -t[0])
         slot_actions.append(scored)
     suffix_best = [0] * (T + 1)
@@ -274,7 +258,8 @@ def lookahead_psi(spec: MarketSpec, window) -> LookaheadResult:
             nodes += 1
             if nodes > cap:
                 raise CapacityError(
-                    "lookahead node cap exceeded; use a smaller frame")
+                    f"lookahead search reached {nodes} nodes, over the cap "
+                    f"of {cap}; use a smaller frame")
             chosen[t] = d
             search(t + 1, profit + gain,
                    tuple(v + a - m for v, a, m in zip(net, d.buys, d.sells)))

@@ -9,7 +9,7 @@ and identical seeds reproduce identical sequences bit-for-bit.
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from decimal import Decimal, InvalidOperation
 from fractions import Fraction
 
@@ -53,9 +53,7 @@ class PriceDistribution:
         total = sum(probs)
         if total <= 0:
             raise ConfigError("probabilities sum to zero")
-        if abs(float(total) - 1.0) > PROB_TOL:
-            probs = tuple(p / total for p in probs)
-        elif total != 1:
+        if total != 1:
             probs = tuple(p / total for p in probs)
         object.__setattr__(self, "support", support)
         object.__setattr__(self, "probs", probs)
@@ -141,25 +139,6 @@ class PriceTrace:
     def check_against(self, spec: MarketSpec):
         for vec in self.sequence:
             spec.check_prices(vec)
-
-
-@dataclass(frozen=True)
-class MemoryParams:
-    """User-supplied decaying-memory pair for the windowed profit bound.
-
-    epsilon is in the same money scale as slot profits (cents) on the
-    profit side and in shares/slot on the drift side; the bound uses the
-    max of the two.
-    """
-
-    epsilon: float
-    window: int
-
-    def __post_init__(self):
-        if self.epsilon < 0:
-            raise ConfigError("epsilon must be non-negative")
-        if self.window < 1:
-            raise ConfigError("window must be a positive integer")
 
 
 def sample_iid(dist: PriceDistribution, rng: np.random.Generator):

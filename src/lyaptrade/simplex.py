@@ -1,9 +1,8 @@
 """Self-contained dense two-phase simplex with Bland's rule.
 
-Runs in exact rational arithmetic (Fractions) by default, which is what
-the policy oracle needs; pass floats for a scaled-float mode on large
-instances.  Only the surface the oracles need: non-negative variables,
-rows with <=, >= or = sense.
+Runs in exact rational arithmetic (Fractions), which is what the policy
+oracle needs.  Only the surface the oracles need: non-negative
+variables, rows with <=, >= or = sense.
 """
 
 from __future__ import annotations
@@ -47,15 +46,14 @@ def _minimize(rows, basis, m, width, max_iters=100000):
     raise NumericalError("simplex iteration cap exceeded")
 
 
-def solve_lp(objective, constraints, maximize=True, exact=True):
+def solve_lp(objective, constraints, maximize=True):
     """Solve max/min objective . x subject to constraints, x >= 0.
 
     constraints is a list of (coeffs, sense, rhs).  Returns
     (optimal value, solution vector).  Raises NumericalError when
     infeasible or unbounded.
     """
-    num = Fraction if exact else float
-    c = [num(v) for v in objective]
+    c = [Fraction(v) for v in objective]
     n = len(c)
     rows = []
     senses = []
@@ -65,23 +63,23 @@ def solve_lp(objective, constraints, maximize=True, exact=True):
             raise StructuralError("constraint width does not match objective")
         if sense not in (LEQ, GEQ, EQ):
             raise StructuralError(f"unknown sense {sense!r}")
-        rows.append([num(v) for v in coeffs])
+        rows.append([Fraction(v) for v in coeffs])
         senses.append(sense)
-        rhs.append(num(b))
+        rhs.append(Fraction(b))
     m = len(rows)
     n_slack = sum(1 for s in senses if s != EQ)
     width = n + n_slack + m + 1  # structural + slack/surplus + artificial + rhs
     tab = []
     slack_at = n
     for i in range(m):
-        row = [num(0)] * width
+        row = [Fraction(0)] * width
         row[:n] = rows[i]
         row[-1] = rhs[i]
         if senses[i] == LEQ:
-            row[slack_at] = num(1)
+            row[slack_at] = Fraction(1)
             slack_at += 1
         elif senses[i] == GEQ:
-            row[slack_at] = num(-1)
+            row[slack_at] = Fraction(-1)
             slack_at += 1
         if row[-1] < 0:
             row = [-v for v in row]
@@ -89,20 +87,19 @@ def solve_lp(objective, constraints, maximize=True, exact=True):
     basis = []
     for i in range(m):
         art = n + n_slack + i
-        tab[i][art] = num(1)
+        tab[i][art] = Fraction(1)
         basis.append(art)
     # Phase 1: minimize the sum of artificials.
-    phase1 = [num(0)] * width
+    phase1 = [Fraction(0)] * width
     for i in range(m):
         for j in range(width):
             phase1[j] -= tab[i][j]
     # Artificial columns are basic: zero reduced cost.
     for i in range(m):
-        phase1[n + n_slack + i] = num(0)
+        phase1[n + n_slack + i] = Fraction(0)
     tab.append(phase1)
     _minimize(tab, basis, m, width)
-    tol = num(0) if exact else 1e-9
-    if -tab[m][-1] > tol:
+    if tab[m][-1] < 0:  # -(sum of artificials)
         raise NumericalError("linear program is infeasible")
     tab.pop()
     # Drive remaining artificials out of the basis, then drop their columns.
@@ -117,7 +114,7 @@ def solve_lp(objective, constraints, maximize=True, exact=True):
     width = keep + 1
     # Phase 2.
     sign = -1 if maximize else 1
-    obj = [num(0)] * width
+    obj = [Fraction(0)] * width
     for j in range(n):
         obj[j] = sign * c[j]
     for i in range(m):
@@ -126,7 +123,7 @@ def solve_lp(objective, constraints, maximize=True, exact=True):
             obj = [a - f * b for a, b in zip(obj, tab[i])]
     tab.append(obj)
     _minimize(tab, basis, m, width)
-    x = [num(0)] * n
+    x = [Fraction(0)] * n
     for i in range(m):
         if basis[i] < n:
             x[basis[i]] = tab[i][-1]

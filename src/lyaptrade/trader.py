@@ -22,8 +22,7 @@ from dataclasses import dataclass, field, replace
 from fractions import Fraction
 
 from .errors import CapacityError, ConfigError, StructuralError
-from .market import (MarketSpec, PortfolioState, TradeDecision, slot_profit,
-                     validate_decision)
+from .market import MarketSpec
 from .money import cents_to_str, cents_to_units
 from .prices import (MarkovPriceModel, PriceDistribution, PriceTrace, make_rng,
                      markov_state_sequence, sample_iid_indices)
@@ -31,9 +30,11 @@ from .prices import (MarkovPriceModel, PriceDistribution, PriceTrace, make_rng,
 DEFAULT_CAPACITY_CELLS = 10 ** 8
 
 
-def capacity_cells() -> int:
+def capacity_cells(default: int = DEFAULT_CAPACITY_CELLS) -> int:
+    """Size cap of every table and search: LYAPTRADE_CAPACITY_CELLS when
+    set, else the caller's default."""
     env = os.environ.get("LYAPTRADE_CAPACITY_CELLS")
-    return int(env) if env else DEFAULT_CAPACITY_CELLS
+    return int(env) if env else default
 
 
 def _as_fraction(v) -> Fraction:
@@ -214,8 +215,8 @@ class SlotSolver:
                 work += self.mu_max[n] + 1
                 if work > cap:
                     raise CapacityError(
-                        "money-budget table exceeded the cell cap; "
-                        "consider the greedy solver")
+                        f"money-budget table reached {work} cells, over the "
+                        f"cap of {cap}; consider the greedy solver")
             dp = new
         return min(dp.values())[2]
 
@@ -324,7 +325,8 @@ class SlotSolver:
                         new[slot] = cand
                 work += self.mu_max[n] + 1
                 if work > cap:
-                    raise CapacityError("share-budget table exceeded the cell cap")
+                    raise CapacityError(f"share-budget table reached {work} "
+                                        f"cells, over the cap of {cap}")
             dp = new
         return min(dp.values())[2]
 
@@ -334,6 +336,15 @@ class SlotSolver:
         if self.params.buy_solver == "share_budget":
             return self.buy_share_budget(prices, queue)
         return self.buy_exact(prices, queue)
+
+    def step(self, prices, queue) -> tuple:
+        """One slot of the policy: (sells, buys, profit cents, next queue),
+        the queue advancing by Q <- max(Q - mu + A, 0)."""
+        sells = self.sell(prices, queue)
+        buys = self.buy(prices, queue)
+        nq = tuple(v - m + a if v - m + a > 0 else 0
+                   for v, m, a in zip(queue, sells, buys))
+        return sells, buys, self.profit(prices, sells, buys), nq
 
     # -- objective bookkeeping (used by solvers' tests and verifiers) ------
 
@@ -353,45 +364,6 @@ class SlotSolver:
             total += sells[n] * p - self.sell_cost[n][sells[n]]
             total -= buys[n] * p + self.buy_cost[n][buys[n]]
         return total
-
-
-def sell_decision(params: TraderParams, spec: MarketSpec, prices, queue) -> tuple:
-    prices = spec.check_prices(prices)
-    return SlotSolver(spec, params).sell(prices, queue)
-
-
-def buy_decision_exact(params: TraderParams, spec: MarketSpec, prices, queue) -> tuple:
-    prices = spec.check_prices(prices)
-    return SlotSolver(spec, params).buy_exact(prices, queue)
-
-
-def buy_decision_greedy(params: TraderParams, spec: MarketSpec, prices, queue) -> tuple:
-    prices = spec.check_prices(prices)
-    solver = SlotSolver(spec, replace(params, buy_solver="greedy"))
-    return solver.buy_greedy(prices, queue)
-
-
-def buy_decision_share_budget(params: TraderParams, spec: MarketSpec,
-                              prices, queue) -> tuple:
-    prices = spec.check_prices(prices)
-    solver = SlotSolver(spec, replace(params, buy_solver="share_budget"))
-    return solver.buy_share_budget(prices, queue)
-
-
-def trader_step(params: TraderParams, spec: MarketSpec,
-                state: PortfolioState, prices):
-    """One slot: sell, buy, post profit, advance the queues."""
-    prices = spec.check_prices(prices)
-    solver = SlotSolver(spec, params)
-    sells = solver.sell(prices, state.queue)
-    buys = solver.buy(prices, state.queue)
-    d = TradeDecision(buys, sells)
-    profit = solver.profit(prices, sells, buys)
-    new_queue = tuple(max(q - m + a, 0)
-                      for q, m, a in zip(state.queue, sells, buys))
-    new_state = PortfolioState(new_queue, state.cumulative_profit + profit,
-                               state.slot + 1)
-    return d, profit, new_state
 
 
 def startup_cost(spec: MarketSpec, prices) -> int:
@@ -498,18 +470,6 @@ class Trajectory:
                                 * (-1 if row[-1].startswith("-") else 1))
         return traj
 
-    def summary(self) -> dict:
-        qmins = [min(q[i] for q in [self.initial_queue] + self.queues)
-                 for i in range(self.spec.n_stocks)]
-        qmaxs = [max(q[i] for q in [self.initial_queue] + self.queues)
-                 for i in range(self.spec.n_stocks)]
-        return {
-            "slots": self.n_slots,
-            "cumulative_profit": cents_to_str(self.cumulative_profit()),
-            "queue_min": qmins,
-            "queue_max": qmaxs,
-        }
-
 
 def _price_sequence(spec, source, horizon, seed, stream):
     if horizon < 1:
@@ -534,56 +494,45 @@ def _price_sequence(spec, source, horizon, seed, stream):
     raise StructuralError(f"unknown price source {type(source).__name__}")
 
 
-def run_backtest(spec: MarketSpec, params: TraderParams, source,
-                 horizon: int, seed: int = 0, stream: int = 0) -> Trajectory:
-    """Full per-slot trajectory; deterministic given (seed, stream)."""
+def _slots(spec, params, source, horizon, seed, stream):
+    """Yield (prices, (sells, buys, profit, next queue)) for every slot.
+
+    Decisions depend only on (queue, prices), so each distinct pair is
+    solved once and replayed from the memo afterwards.
+    """
     seq = _price_sequence(spec, source, horizon, seed, stream)
-    solver = SlotSolver(spec, params)
-    traj = Trajectory(spec, params, params.resolved_initial_queue(spec))
-    q = traj.initial_queue
+    step = SlotSolver(spec, params).step
+    q = params.resolved_initial_queue(spec)
     memo: dict = {}
-    ap, ab, as_, aq, apr = (traj.prices.append, traj.buys.append,
-                            traj.sells.append, traj.queues.append,
-                            traj.profits.append)
     for p in seq:
         key = (q, p)
         hit = memo.get(key)
         if hit is None:
-            sells = solver.sell(p, q)
-            buys = solver.buy(p, q)
-            profit = solver.profit(p, sells, buys)
-            nq = tuple(v - m + a if v - m + a > 0 else 0
-                       for v, m, a in zip(q, sells, buys))
-            hit = (sells, buys, profit, nq)
-            memo[key] = hit
-        sells, buys, profit, nq = hit
+            hit = memo[key] = step(p, q)
+        yield p, hit
+        q = hit[3]
+
+
+def run_backtest(spec: MarketSpec, params: TraderParams, source,
+                 horizon: int, seed: int = 0, stream: int = 0) -> Trajectory:
+    """Full per-slot trajectory; deterministic given (seed, stream)."""
+    traj = Trajectory(spec, params, params.resolved_initial_queue(spec))
+    ap, ab, as_, aq, apr = (traj.prices.append, traj.buys.append,
+                            traj.sells.append, traj.queues.append,
+                            traj.profits.append)
+    for p, (sells, buys, profit, nq) in _slots(spec, params, source, horizon,
+                                              seed, stream):
         ap(p); ab(buys); as_(sells); aq(nq); apr(profit)
-        q = nq
     return traj
 
 
 def run_profit(spec: MarketSpec, params: TraderParams, source,
                horizon: int, seed: int = 0, stream: int = 0):
     """Light-weight run: (total profit cents, final queue), no records."""
-    seq = _price_sequence(spec, source, horizon, seed, stream)
-    solver = SlotSolver(spec, params)
-    q = params.resolved_initial_queue(spec)
-    memo: dict = {}
     total = 0
-    for p in seq:
-        key = (q, p)
-        hit = memo.get(key)
-        if hit is None:
-            sells = solver.sell(p, q)
-            buys = solver.buy(p, q)
-            profit = solver.profit(p, sells, buys)
-            nq = tuple(v - m + a if v - m + a > 0 else 0
-                       for v, m, a in zip(q, sells, buys))
-            hit = (profit, nq)
-            memo[key] = hit
-        profit, nq = hit
+    for _, (_, _, profit, q) in _slots(spec, params, source, horizon,
+                                       seed, stream):
         total += profit
-        q = nq
     return total, q
 
 

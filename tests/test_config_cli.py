@@ -1,12 +1,14 @@
 """Experiment config parsing and the CLI harness contract."""
 
 import json
+import re
 
 import pytest
 
-from lyaptrade import config_from_json, config_to_json
+from lyaptrade import (MarketSpec, StockSpec, config_from_json,
+                       config_to_json, enumerate_actions, lookahead_psi)
 from lyaptrade.cli import main
-from lyaptrade.errors import ConfigError
+from lyaptrade.errors import CapacityError, ConfigError
 
 BASE = {
     "market": {"stocks": [{"mu_max": 1, "p_max": "2.00"}],
@@ -120,7 +122,8 @@ class TestRun:
 
 
 class TestVerifySubcommand:
-    def test_corrupted_trajectory_fails_deterministically(self, tmp_path):
+    def test_corrupted_trajectory_fails_deterministically(self, tmp_path,
+                                                          capsys):
         doc = dict(BASE, write_trajectories=True, horizon=50,
                    verify=["queue_band"])
         cfg = write_config(tmp_path, doc)
@@ -133,8 +136,13 @@ class TestVerifySubcommand:
         cols[4] = "0"  # drop the queue below its floor
         lines[20] = ",".join(cols)
         traj_csv.write_text("\n".join(lines) + "\n")
+        capsys.readouterr()
         assert main(["verify", "--config", cfg,
-                     "--trajectory", str(traj_csv)]) in (2, 5)
+                     "--trajectory", str(traj_csv)]) == 2
+        reports = json.loads(capsys.readouterr().out)["reports"]
+        assert list(reports) == ["dynamics"]
+        assert reports["dynamics"]["verdict"] == "fail"
+        assert "slot 19" in reports["dynamics"]["detail"]["error"]
 
     def test_statistical_names_rejected(self, tmp_path):
         cfg = write_config(tmp_path, dict(BASE, verify=["thm1"]))
@@ -214,3 +222,33 @@ class TestTraceConvert:
         assert out["trace"]["effective_caps"] == ["4.00"]
         assert (tmp_path / "out" / "trace.csv").read_text() \
             == "slot,p_1\n0,4.00\n"
+
+
+class TestCapacityCells:
+    """LYAPTRADE_CAPACITY_CELLS caps the slot DP, the action enumeration
+    and the lookahead search alike."""
+
+    def test_run_reports_size_and_cap(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.setenv("LYAPTRADE_CAPACITY_CELLS", "5")
+        doc = dict(BASE, market={
+            "stocks": [{"mu_max": 2, "p_max": "2.00"},
+                       {"mu_max": 2, "p_max": "2.00"}],
+            "budget": {"mode": "money", "value": "3.00"}},
+            source={"kind": "iid", "support": [["1.00", "1.00"]],
+                    "probs": [1]})
+        assert main(["run", "--config", write_config(tmp_path, doc)]) == 4
+        err = capsys.readouterr().err
+        sizes = [int(v) for v in re.findall(r"\d+", err)]
+        assert 5 in sizes and any(v > 5 for v in sizes), err
+
+    def test_oracles_honour_the_variable(self, monkeypatch):
+        spec = MarketSpec((StockSpec(0, 1, 200),))
+        window = [(100,), (200,), (100,), (200,)]
+        assert len(enumerate_actions(spec, (100,)).actions) == 4
+        assert lookahead_psi(spec, window).psi_cents == 200
+        monkeypatch.setenv("LYAPTRADE_CAPACITY_CELLS", "3")
+        with pytest.raises(CapacityError, match="cap 3"):
+            enumerate_actions(spec, (100,))
+        monkeypatch.setenv("LYAPTRADE_CAPACITY_CELLS", "4")
+        with pytest.raises(CapacityError, match="5 nodes.*cap of 4"):
+            lookahead_psi(spec, window)

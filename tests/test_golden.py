@@ -1,0 +1,104 @@
+"""Pinned trajectories: the sha256 of Trajectory.to_csv for small fixed
+runs of every buy solver.  A change to the slot kernel, the solvers or
+the price sources that moves any decision, queue or profit changes a
+hash here."""
+
+import hashlib
+import io
+import random
+from fractions import Fraction
+
+import pytest
+
+from lyaptrade import (BudgetMode, CostFunction, MarketSpec,
+                       MarkovPriceModel, PriceDistribution, PriceTrace,
+                       StockSpec, TraderParams, placeholder_wrap, run_backtest)
+
+FIXED = CostFunction("fixed", fee=5)
+LINEAR = CostFunction("linear", rate=2)
+TABLE = CostFunction("table", values=(0, 3, 9, 12))
+
+
+def _iid(n_stocks, p_max, n_points=5, seed=1):
+    r = random.Random(seed)
+    support = tuple(tuple(r.randrange(0, p_max + 1) for _ in range(n_stocks))
+                    for _ in range(n_points))
+    return PriceDistribution(support, (Fraction(1, n_points),) * n_points)
+
+
+def _markov(n_stocks, p_max, seed=2):
+    r = random.Random(seed)
+    states = tuple(tuple(r.randrange(0, p_max + 1) for _ in range(n_stocks))
+                   for _ in range(3))
+    return MarkovPriceModel(states, ((0.5, 0.25, 0.25), (0.2, 0.6, 0.2),
+                                     (0.25, 0.25, 0.5)))
+
+
+def _trace(n_stocks, p_max, length, seed=3):
+    r = random.Random(seed)
+    return PriceTrace(tuple(tuple(r.randrange(0, p_max + 1)
+                                  for _ in range(n_stocks))
+                            for _ in range(length)))
+
+
+def _spec(costs, budget, mu_max=2, p_max=300):
+    return MarketSpec(tuple(StockSpec(i, mu_max, p_max, buy, sell)
+                            for i, (buy, sell) in enumerate(costs)), budget)
+
+
+PLACEHOLDER_SPEC = _spec([(FIXED, CostFunction())],
+                         BudgetMode("money", money=400), mu_max=3)
+
+
+# name: (spec, params, source, horizon, seed)
+CASES = {
+    "exact_money_iid": (
+        _spec([(FIXED, LINEAR), (LINEAR, FIXED), (FIXED, FIXED)],
+              BudgetMode("money", money=500)),
+        TraderParams(V=20), _iid(3, 300), 400, 3),
+    "exact_none_markov": (
+        _spec([(LINEAR, LINEAR), (CostFunction(), FIXED)], BudgetMode()),
+        TraderParams(V=10), _markov(2, 300), 400, 4),
+    "exact_placeholder_trace": (
+        PLACEHOLDER_SPEC, placeholder_wrap(TraderParams(V=8), PLACEHOLDER_SPEC),
+        _trace(1, 300, 300), 300, 0),
+    "greedy_money_trace": (
+        _spec([(LINEAR, CostFunction()), (FIXED, LINEAR)],
+              BudgetMode("money", money=350)),
+        TraderParams(V=15, buy_solver="greedy"), _trace(2, 300, 300), 300, 0),
+    "share_budget_linear_iid": (
+        _spec([(LINEAR, FIXED), (CostFunction(), LINEAR),
+               (LINEAR, CostFunction())], BudgetMode("shares", shares=3)),
+        TraderParams(V=12, buy_solver="share_budget"), _iid(3, 300), 400, 5),
+    "share_budget_table_markov": (
+        _spec([(TABLE, CostFunction()), (FIXED, LINEAR)],
+              BudgetMode("shares", shares=4), mu_max=3),
+        TraderParams(V=25, buy_solver="share_budget"), _markov(2, 300), 400, 6),
+}
+
+GOLDEN = {
+    "exact_money_iid":
+        "3a42266cee04931b66d1900e580c93549a9bd72bb637117567bd137e0a274f49",
+    "exact_none_markov":
+        "4d23de1fd2db1b73f60758d255ebdb0dba5c55058df22e5e3bc4ed708b0977d7",
+    "exact_placeholder_trace":
+        "c03754fa2502149473650965660f9b135cdcdd2f810b4cfb8ae6519b7d10db63",
+    "greedy_money_trace":
+        "27d4780dea56022fa172f54f5eaffe7ae557478cb6d4a4bee07bba4c9e68d8d0",
+    "share_budget_linear_iid":
+        "6f3635f641e5cc8e572724d19a62bf93cc25e3307b69c19fed8f0f213fa5d710",
+    "share_budget_table_markov":
+        "20a776622c29439e231476c68f6ca0ba3356460f6c17915afe2681dfd4f0ffe5",
+}
+
+
+def csv_sha256(name) -> str:
+    spec, params, source, horizon, seed = CASES[name]
+    buf = io.StringIO()
+    run_backtest(spec, params, source, horizon, seed=seed).to_csv(buf)
+    return hashlib.sha256(buf.getvalue().encode()).hexdigest()
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_trajectory_csv_is_pinned(name):
+    assert csv_sha256(name) == GOLDEN[name]

@@ -11,9 +11,8 @@ from lyaptrade import (BudgetMode, CostFunction, MarketSpec, PriceDistribution,
                        brute_force_slot_min, drift_rebalance,
                        enumerate_actions, lookahead_psi, solve_phi_opt)
 from lyaptrade.errors import CapacityError
-from lyaptrade.oracles import action_profit
-from lyaptrade.trader import SlotSolver, trader_step
-from lyaptrade.market import PortfolioState
+from lyaptrade.market import slot_profit
+from lyaptrade.trader import SlotSolver
 
 from conftest import (one_stock_spec, random_dist, random_small_spec,
                       random_trace, uniform_two_price)
@@ -58,7 +57,7 @@ def deterministic_phi_opt(spec, dist):
     sets = [enumerate_actions(spec, p) for p in dist.support]
     vertices = []
     for combo in itertools.product(*(s.actions for s in sets)):
-        profit = sum(pi * Fraction(action_profit(spec, price, d), 100)
+        profit = sum(pi * Fraction(slot_profit(spec, price, d), 100)
                      for (price, d), pi
                      in zip(zip(dist.support, combo), dist.probs))
         drift = tuple(
@@ -179,7 +178,7 @@ def naive_lookahead(spec, window):
         net = [0] * spec.n_stocks
         profit = 0
         for p, d in zip(window, seq):
-            profit += action_profit(spec, p, d)
+            profit += slot_profit(spec, p, d)
             for i in range(spec.n_stocks):
                 net[i] += d.buys[i] - d.sells[i]
         if all(v >= 0 for v in net):
@@ -236,13 +235,13 @@ class TestBruteForce:
             params = TraderParams(V=rng.choice((1, 5, 50)))
             prices = tuple(rng.randrange(0, s.p_max + 1) for s in spec.stocks)
             queue = tuple(rng.randrange(0, 6) for _ in spec.stocks)
-            d, _, _ = trader_step(params, spec, PortfolioState(queue), prices)
-            oracle = brute_force_slot_min(params, spec, prices, queue)
             solver = SlotSolver(spec, params)
-            assert solver.scaled_objective(prices, queue, d.sells, d.buys) \
+            sells, buys, _, _ = solver.step(prices, queue)
+            oracle = brute_force_slot_min(params, spec, prices, queue)
+            assert solver.scaled_objective(prices, queue, sells, buys) \
                 == solver.scaled_objective(prices, queue, oracle.sells,
                                            oracle.buys)
-            assert (d.buys, d.sells) == (oracle.buys, oracle.sells)
+            assert (buys, sells) == (oracle.buys, oracle.sells)
 
     def test_zero_prices_with_fees(self):
         spec = one_stock_spec(buy=CostFunction("fixed", fee=300),

@@ -124,7 +124,7 @@ def test_lookahead_decisions_feasible_and_optimal(pair):
     import itertools
 
     from lyaptrade import lookahead_psi
-    from lyaptrade.oracles import action_profit
+    from lyaptrade.market import slot_profit
     spec, trace = pair
     window = list(trace.sequence)
     res = lookahead_psi(spec, window)
@@ -138,7 +138,7 @@ def test_lookahead_decisions_feasible_and_optimal(pair):
         net = [0] * spec.n_stocks
         profit = 0
         for p, d in zip(window, seq):
-            profit += action_profit(spec, p, d)
+            profit += slot_profit(spec, p, d)
             for i in range(spec.n_stocks):
                 net[i] += d.buys[i] - d.sells[i]
         if all(v >= 0 for v in net):

@@ -3,19 +3,19 @@ windowed scaling."""
 
 import io
 import random
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
 
-from lyaptrade import (BudgetMode, CostFunction, MarketSpec, PortfolioState,
-                       PriceDistribution, PriceTrace, StockSpec, TraderParams,
-                       Trajectory, compute_theta, placeholder_wrap, queue_band,
+from lyaptrade import (BudgetMode, CostFunction, MarketSpec, MarkovPriceModel,
+                       PortfolioState, PriceDistribution, PriceTrace,
+                       StockSpec, TradeDecision, TraderParams, Trajectory,
+                       compute_theta, placeholder_wrap, queue_band,
                        run_backtest, run_profit, scaled_windows_run,
-                       startup_cost, trader_step, validate_decision)
+                       startup_cost, validate_decision)
 from lyaptrade.errors import ConfigError, StructuralError
-from lyaptrade.trader import (SlotSolver, buy_decision_exact,
-                              buy_decision_greedy, buy_decision_share_budget,
-                              sell_decision)
+from lyaptrade.trader import SlotSolver
 
 from conftest import one_stock_spec, random_small_spec, uniform_two_price
 
@@ -47,47 +47,47 @@ class TestSell:
         # queue below theta - V*p_max blocks every sale
         spec = one_stock_spec(mu_max=2, p_max_cents=200)
         params = TraderParams(V=10)  # theta = 24, threshold = 4
-        assert sell_decision(params, spec, (200,), (3,)) == (0,)
+        assert SlotSolver(spec, params).sell((200,), (3,)) == (0,)
 
     def test_high_queue_sells_cap(self):
         spec = one_stock_spec(mu_max=3, p_max_cents=100)
         params = TraderParams(V=10, theta=(10,))
         # Q = theta + mu_max, p = p_max: coefficient is negative
-        assert sell_decision(params, spec, (100,), (13,)) == (3,)
+        assert SlotSolver(spec, params).sell((100,), (13,)) == (3,)
 
     def test_zero_price_positive_coeff(self):
         spec = one_stock_spec(mu_max=3, p_max_cents=100)
         params = TraderParams(V=10)
-        assert sell_decision(params, spec, (0,), (5,)) == (0,)
+        assert SlotSolver(spec, params).sell((0,), (5,)) == (0,)
 
     def test_ownership_caps_sale(self):
         spec = one_stock_spec(mu_max=3, p_max_cents=100)
         params = TraderParams(V=10, theta=(1,))
-        assert sell_decision(params, spec, (100,), (2,)) == (2,)
+        assert SlotSolver(spec, params).sell((100,), (2,)) == (2,)
 
     def test_fee_cover_filter(self):
         spec = one_stock_spec(mu_max=1, p_max_cents=100,
                               sell=CostFunction("fixed", fee=50))
         params = TraderParams(V=10, theta=(1,))
-        assert sell_decision(params, spec, (40,), (5,)) == (0,)
+        assert SlotSolver(spec, params).sell((40,), (5,)) == (0,)
 
 
 class TestBuyExact:
     def test_above_theta_never_buys(self):
         spec = one_stock_spec(mu_max=2, p_max_cents=200)
         params = TraderParams(V=10)  # theta = 24
-        assert buy_decision_exact(params, spec, (0,), (25,)) == (0,)
+        assert SlotSolver(spec, params).buy_exact((0,), (25,)) == (0,)
 
     def test_cheap_price_buys_cap(self):
         spec = one_stock_spec(mu_max=2, p_max_cents=200)
         params = TraderParams(V=10)
-        assert buy_decision_exact(params, spec, (100,), (2,)) == (2,)
+        assert SlotSolver(spec, params).buy_exact((100,), (2,)) == (2,)
 
     def test_budget_blocks_purchase(self):
         spec = one_stock_spec(mu_max=2, p_max_cents=200,
                               budget=BudgetMode("money", money=1))
         params = TraderParams(V=10)
-        assert buy_decision_exact(params, spec, (100,), (2,)) == (0,)
+        assert SlotSolver(spec, params).buy_exact((100,), (2,)) == (0,)
 
     def test_matches_enumeration(self, rng):
         from lyaptrade import enumerate_actions
@@ -116,14 +116,15 @@ class TestBuyGreedy:
     def test_nonnegative_coeffs_buy_nothing(self):
         spec = one_stock_spec(mu_max=2, p_max_cents=100)
         params = TraderParams(V=10, theta=(1,), buy_solver="greedy")
-        assert buy_decision_greedy(params, spec, (100,), (5,)) == (0,)
+        assert SlotSolver(spec, params).buy_greedy((100,), (5,)) == (0,)
 
     def test_picks_smallest_ratio_first(self):
         spec = MarketSpec((StockSpec(0, 1, 100), StockSpec(1, 1, 100)),
                           BudgetMode("money", money=100))
         # coefficients (Q - theta + V p) = (-10, -2) at p = $1 each
         params = TraderParams(V=1, theta=(12, 4), buy_solver="greedy")
-        assert buy_decision_greedy(params, spec, (100, 100), (1, 1)) == (1, 0)
+        assert SlotSolver(spec, params).buy_greedy((100, 100),
+                                                   (1, 1)) == (1, 0)
 
     def test_single_stock_matches_exact_without_overshoot(self, rng):
         for _ in range(50):
@@ -132,14 +133,15 @@ class TestBuyGreedy:
             params = TraderParams(V=rng.choice((1, 10)))
             prices = (rng.randrange(1, spec.stocks[0].p_max + 1),)
             queue = (rng.randrange(0, 6),)
-            assert buy_decision_greedy(params, spec, prices, queue) \
-                == buy_decision_exact(params, spec, prices, queue)
+            greedy = SlotSolver(spec, replace(params, buy_solver="greedy"))
+            assert greedy.buy_greedy(prices, queue) \
+                == SlotSolver(spec, params).buy_exact(prices, queue)
 
     def test_zero_price_taken_immediately(self):
         spec = one_stock_spec(mu_max=3, p_max_cents=100,
                               budget=BudgetMode("money", money=1))
         params = TraderParams(V=1, theta=(100,), buy_solver="greedy")
-        assert buy_decision_greedy(params, spec, (0,), (0,)) == (3,)
+        assert SlotSolver(spec, params).buy_greedy((0,), (0,)) == (3,)
 
     def test_requires_concave_costs(self):
         spec = one_stock_spec(
@@ -156,9 +158,9 @@ class TestBuyShareBudget:
         free = MarketSpec(stocks)
         params = TraderParams(V=10, buy_solver="share_budget")
         prices, queue = (100, 50), (2, 2)
-        got = buy_decision_share_budget(params, loose, prices, queue)
-        assert got == buy_decision_exact(TraderParams(V=10), free,
-                                         prices, queue)
+        got = SlotSolver(loose, params).buy_share_budget(prices, queue)
+        assert got == SlotSolver(free, TraderParams(V=10)).buy_exact(prices,
+                                                                     queue)
 
     def test_fills_most_negative_first(self):
         stocks = (StockSpec(0, 2, 200,
@@ -167,14 +169,14 @@ class TestBuyShareBudget:
         spec = MarketSpec(stocks, BudgetMode("shares", shares=2))
         params = TraderParams(V=1, theta=(10, 10), buy_solver="share_budget")
         # weights: (2 - 10 + 1 + 0.1, 2 - 10 + 0.5) -> stock 1 first
-        got = buy_decision_share_budget(params, spec, (100, 50), (2, 2))
+        got = SlotSolver(spec, params).buy_share_budget((100, 50), (2, 2))
         assert got == (0, 2)
 
     def test_tight_budget(self):
         spec = MarketSpec((StockSpec(0, 3, 200),),
                           BudgetMode("shares", shares=1))
         params = TraderParams(V=10, buy_solver="share_budget")
-        assert buy_decision_share_budget(params, spec, (100,), (0,)) == (1,)
+        assert SlotSolver(spec, params).buy_share_budget((100,), (0,)) == (1,)
 
     def test_table_cost_dp_path(self, rng):
         from lyaptrade import enumerate_actions
@@ -203,10 +205,9 @@ class TestStep:
     def test_degenerate_prices_yield_zero_decision(self):
         spec = one_stock_spec(mu_max=2, p_max_cents=100)
         params = TraderParams(V=10, theta=(5,))
-        d, profit, state = trader_step(params, spec, PortfolioState((5,)),
-                                       (0,))
-        assert d.buys == d.sells == (0,) and profit == 0
-        assert state.queue == (5,) and state.slot == 1
+        sells, buys, profit, queue = SlotSolver(spec, params).step((0,), (5,))
+        assert buys == sells == (0,) and profit == 0
+        assert queue == (5,)
 
     def test_emitted_decision_is_feasible(self, rng):
         for _ in range(40):
@@ -214,15 +215,15 @@ class TestStep:
             params = TraderParams(V=rng.choice((5, 50)))
             prices = tuple(rng.randrange(0, s.p_max + 1) for s in spec.stocks)
             q0 = tuple(s.mu_max for s in spec.stocks)
-            d, profit, _ = trader_step(params, spec, PortfolioState(q0),
-                                       prices)
-            assert validate_decision(spec, prices, PortfolioState(q0), d).ok
+            sells, buys, _, _ = SlotSolver(spec, params).step(prices, q0)
+            assert validate_decision(spec, prices, PortfolioState(q0),
+                                     TradeDecision(buys, sells)).ok
 
     def test_no_sale_at_band_floor(self):
         spec = one_stock_spec(mu_max=2, p_max_cents=200)
         params = TraderParams(V=50)
-        d, _, _ = trader_step(params, spec, PortfolioState((2,)), (200,))
-        assert d.sells == (0,)
+        sells, _, _, _ = SlotSolver(spec, params).step((200,), (2,))
+        assert sells == (0,)
 
 
 class TestRuns:
@@ -241,14 +242,33 @@ class TestRuns:
         assert (a.prices, a.buys, a.sells, a.queues, a.profits) == \
             (b.prices, b.buys, b.sells, b.queues, b.profits)
 
-    def test_run_profit_matches_backtest(self):
-        spec = one_stock_spec()
-        traj = run_backtest(spec, TraderParams(V=50), uniform_two_price(),
-                            2000, seed=12)
-        total, final = run_profit(spec, TraderParams(V=50),
-                                  uniform_two_price(), 2000, seed=12)
-        assert total == traj.cumulative_profit()
-        assert final == traj.queue_at(traj.n_slots)
+    def test_run_profit_matches_backtest(self, rng):
+        fee = CostFunction("fixed", fee=7)
+        rate = CostFunction("linear", rate=3)
+        three = MarketSpec((StockSpec(0, 2, 300, fee, rate),
+                            StockSpec(1, 3, 250, rate, fee),
+                            StockSpec(2, 2, 400, fee, fee)),
+                           BudgetMode("money", money=600))
+        markov = MarkovPriceModel(((100,), (200,), (150,)),
+                                  ((0.5, 0.3, 0.2), (0.1, 0.6, 0.3),
+                                   (0.4, 0.4, 0.2)))
+        cases = [
+            (one_stock_spec(), uniform_two_price()),
+            (one_stock_spec(mu_max=2), markov),
+            (one_stock_spec(mu_max=2),
+             PriceTrace(tuple((rng.randrange(0, 201),) for _ in range(2000)))),
+            (three, PriceDistribution(
+                tuple(tuple(rng.randrange(0, s.p_max + 1)
+                            for s in three.stocks) for _ in range(6)),
+                (Fraction(1, 6),) * 6)),
+        ]
+        for spec, source in cases:
+            traj = run_backtest(spec, TraderParams(V=50), source, 2000,
+                                seed=12)
+            total, final = run_profit(spec, TraderParams(V=50), source,
+                                      2000, seed=12)
+            assert total == traj.cumulative_profit()
+            assert final == traj.queue_at(traj.n_slots)
 
     def test_short_trace_rejected(self):
         trace = PriceTrace(((100,), (100,)))
