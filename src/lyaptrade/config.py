@@ -75,6 +75,13 @@ def _price_vector(obj, where):
         raise ConfigError(str(exc), location=where) from exc
 
 
+def _probability(x, where) -> float:
+    try:
+        return float(x)
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"{x!r} is not a number", location=where) from exc
+
+
 def _parse_source(obj) -> SourceConfig:
     if not isinstance(obj, dict) or "kind" not in obj:
         raise ConfigError("source needs a 'kind' field", location="/source")
@@ -89,7 +96,9 @@ def _parse_source(obj) -> SourceConfig:
             states = tuple(_price_vector(v, "/source/states")
                            for v in obj["states"])
             model = MarkovPriceModel(states, tuple(
-                tuple(row) for row in obj["transition"]))
+                tuple(_probability(x, f"/source/transition/{i}/{j}")
+                      for j, x in enumerate(row))
+                for i, row in enumerate(obj["transition"])))
             return SourceConfig("markov", model=model)
         if kind == "trace":
             policy = obj.get("cap_policy", "reject")

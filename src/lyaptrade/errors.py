@@ -30,7 +30,7 @@ class ParseError(LyaptradeError):
 
 
 class CapacityError(LyaptradeError):
-    """A table or search exceeded its configured cell/node cap."""
+    """A table, action enumeration or DP exceeded its configured size cap."""
 
 
 class NumericalError(LyaptradeError):

@@ -2,13 +2,15 @@
 
 - the optimal price-only policy LP (profit-rate upper bound and its
   randomized policy),
-- the exact finite-horizon lookahead optimizer over one frame,
+- the exact finite-horizon lookahead optimizer over one frame, a dynamic
+  program over (slot, net-share vector),
 - a brute-force per-slot objective minimizer used as a test oracle.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -19,7 +21,7 @@ from .prices import PriceDistribution
 from .trader import SlotSolver, TraderParams, capacity_cells
 
 DEFAULT_ENUM_CAP = 10 ** 6
-DEFAULT_SEARCH_CAP = 10 ** 8
+DEFAULT_SEARCH_CAP = 10 ** 8  # lookahead DP states
 
 
 @dataclass(frozen=True)
@@ -216,55 +218,71 @@ def lookahead_psi(spec: MarketSpec, window) -> LookaheadResult:
     prices, allowing intra-frame short selling as long as every stock's
     net purchases over the frame are non-negative.
 
-    Depth-first search over per-slot feasible actions with an admissible
-    bound (suffix sums of unconstrained per-slot maxima) and a
-    reachability prune on the running net-share balance.
+    Dynamic programming over (slot, running net-share vector): the best
+    suffix profit depends only on those two.  Stock n's net stays within
+    +-T*mu_n, so a frame has at most T * prod(2*T*mu_n + 1) states; that
+    bound is checked against the cap before any action is enumerated.
+    Each slot's actions are sorted by descending profit and only the
+    first action per net delta is kept, so ties resolve to the
+    lexicographically first optimal sequence in that order.  A frame
+    whose best profit is not positive yields 0 and all-zero decisions.
     """
     window = [spec.check_prices(p) for p in window]
     T = len(window)
     if T < 1:
         raise StructuralError("lookahead window must have at least one slot")
+    # Net vectors are packed into one integer, digit n holding
+    # net_n + T*mu_n in radix 2*T*mu_n + 1; deltas then add as integers.
+    offsets = [T * s.mu_max for s in spec.stocks]
+    radix = [2 * o + 1 for o in offsets]
+    states = T * math.prod(radix)
     cap = capacity_cells(DEFAULT_SEARCH_CAP)
-    slot_actions = []
+    if states > cap:
+        raise CapacityError(
+            f"lookahead frame needs up to {states} states, over the cap "
+            f"of {cap}; use a smaller frame")
+    strides = [math.prod(radix[:n]) for n in range(len(radix))]
+    steps = []
     for p in window:
-        aset = enumerate_actions(spec, p)
-        scored = sorted(((slot_profit(spec, p, d), d) for d in aset.actions),
+        scored = sorted(((slot_profit(spec, p, d), d)
+                         for d in enumerate_actions(spec, p).actions),
                         key=lambda t: -t[0])
-        slot_actions.append(scored)
-    suffix_best = [0] * (T + 1)
+        kept = {}
+        for gain, d in scored:
+            delta = sum((a - m) * w
+                        for a, m, w in zip(d.buys, d.sells, strides))
+            kept.setdefault(delta, (gain, delta, d))
+        steps.append(tuple(kept.values()))
+    origin = sum(o * w for o, w in zip(offsets, strides))
+    reach = [{origin}]
+    for kept in steps:
+        reach.append({c + delta for c in reach[-1] for _, delta, _ in kept})
+    values = [None] * T + [{
+        c: 0 for c in reach[T]
+        if all(c // w % r >= o for w, r, o in zip(strides, radix, offsets))}]
     for t in range(T - 1, -1, -1):
-        suffix_best[t] = suffix_best[t + 1] + max(0, slot_actions[t][0][0])
-    mu_max = tuple(s.mu_max for s in spec.stocks)
-    n = spec.n_stocks
-    best_value = 0
-    best_seq = tuple(TradeDecision.zero(n) for _ in range(T))
-    chosen = [None] * T
-    nodes = 0
-
-    def search(t, profit, net):
-        nonlocal best_value, best_seq, nodes
-        if t == T:
-            if all(v >= 0 for v in net) and profit > best_value:
-                best_value = profit
-                best_seq = tuple(chosen)
-            return
-        if profit + suffix_best[t] <= best_value:
-            return
-        remaining = T - t
-        for i in range(n):
-            if net[i] + remaining * mu_max[i] < 0:
-                return
-        for gain, d in slot_actions[t]:
-            nodes += 1
-            if nodes > cap:
-                raise CapacityError(
-                    f"lookahead search reached {nodes} nodes, over the cap "
-                    f"of {cap}; use a smaller frame")
-            chosen[t] = d
-            search(t + 1, profit + gain,
-                   tuple(v + a - m for v, a, m in zip(net, d.buys, d.sells)))
-    search(0, 0, (0,) * n)
-    return LookaheadResult(best_value, best_seq)
+        nxt = values[t + 1]
+        cur = {}
+        for c in reach[t]:
+            gains = [gain + nxt[c + delta] for gain, delta, _ in steps[t]
+                     if c + delta in nxt]
+            if gains:
+                cur[c] = max(gains)
+        values[t] = cur
+    psi = values[0][origin]
+    if psi <= 0:
+        return LookaheadResult(
+            0, tuple(TradeDecision.zero(spec.n_stocks) for _ in range(T)))
+    decisions = []
+    c = origin
+    for t in range(T):
+        nxt = values[t + 1]
+        for gain, delta, d in steps[t]:
+            if c + delta in nxt and gain + nxt[c + delta] == values[t][c]:
+                break
+        decisions.append(d)
+        c += delta
+    return LookaheadResult(psi, tuple(decisions))
 
 
 def brute_force_slot_min(params: TraderParams, spec: MarketSpec,

@@ -31,10 +31,20 @@ DEFAULT_CAPACITY_CELLS = 10 ** 8
 
 
 def capacity_cells(default: int = DEFAULT_CAPACITY_CELLS) -> int:
-    """Size cap of every table and search: LYAPTRADE_CAPACITY_CELLS when
-    set, else the caller's default."""
+    """Size cap of every table and DP: LYAPTRADE_CAPACITY_CELLS when
+    set, else the caller's default.  A value that is not a positive
+    integer is a ConfigError."""
     env = os.environ.get("LYAPTRADE_CAPACITY_CELLS")
-    return int(env) if env else default
+    if not env:
+        return default
+    try:
+        cap = int(env)
+    except ValueError:
+        cap = 0
+    if cap < 1:
+        raise ConfigError(f"must be a positive integer, got {env!r}",
+                          location="LYAPTRADE_CAPACITY_CELLS")
+    return cap
 
 
 def _as_fraction(v) -> Fraction:

@@ -1,6 +1,7 @@
 """Experiment config parsing and the CLI harness contract."""
 
 import json
+import random
 import re
 
 import pytest
@@ -56,6 +57,13 @@ class TestConfig:
             "transition": [[0.5, 0.5], [0.5, 0.5]]})
         cfg = config_from_json(doc)
         assert cfg.source.model.n_states == 2
+
+    def test_bad_transition_entry_located(self, tmp_path, capsys):
+        doc = dict(BASE, source={
+            "kind": "markov", "states": [["1.00"], ["2.00"]],
+            "transition": [[0.5, 0.5], ["1/2", "1/2"]]})
+        assert main(["run", "--config", write_config(tmp_path, doc)]) == 5
+        assert "/source/transition/1/0" in capsys.readouterr().err
 
     def test_bad_location_reported(self):
         doc = dict(BASE, source={"kind": "lognormal"})
@@ -226,7 +234,7 @@ class TestTraceConvert:
 
 class TestCapacityCells:
     """LYAPTRADE_CAPACITY_CELLS caps the slot DP, the action enumeration
-    and the lookahead search alike."""
+    and the lookahead DP alike."""
 
     def test_run_reports_size_and_cap(self, tmp_path, monkeypatch, capsys):
         monkeypatch.setenv("LYAPTRADE_CAPACITY_CELLS", "5")
@@ -250,5 +258,39 @@ class TestCapacityCells:
         with pytest.raises(CapacityError, match="cap 3"):
             enumerate_actions(spec, (100,))
         monkeypatch.setenv("LYAPTRADE_CAPACITY_CELLS", "4")
-        with pytest.raises(CapacityError, match="5 nodes.*cap of 4"):
+        with pytest.raises(CapacityError, match="36 states.*cap of 4"):
             lookahead_psi(spec, window)
+
+    @pytest.mark.parametrize("value", ["1e6", "0"])
+    def test_bad_value_is_a_config_error(self, tmp_path, monkeypatch, capsys,
+                                         value):
+        monkeypatch.setenv("LYAPTRADE_CAPACITY_CELLS", value)
+        doc = dict(BASE, market={
+            "stocks": [{"mu_max": 2, "p_max": "2.00"}],
+            "budget": {"mode": "money", "value": "3.00"}})
+        assert main(["run", "--config", write_config(tmp_path, doc)]) == 5
+        err = capsys.readouterr().err
+        assert "LYAPTRADE_CAPACITY_CELLS" in err and repr(value) in err, err
+
+
+class TestThm3:
+    def test_two_stock_money_budget_trace(self, tmp_path):
+        rng = random.Random(5)
+        rows = [f"{t},{rng.randint(0, 300) / 100:.2f},"
+                f"{rng.randint(0, 200) / 100:.2f}" for t in range(400)]
+        trace = tmp_path / "trace.csv"
+        trace.write_text("slot,p_1,p_2\n" + "\n".join(rows) + "\n")
+        doc = dict(BASE, horizon=400, market={
+            "stocks": [{"mu_max": 2, "p_max": "3.00",
+                        "buy_cost": {"kind": "fixed", "fee": "0.05"}},
+                       {"mu_max": 2, "p_max": "2.00",
+                        "sell_cost": {"kind": "linear", "rate": "0.02"}}],
+            "budget": {"mode": "money", "value": "4.00"}},
+            source={"kind": "trace", "path": str(trace)},
+            verify=["dynamics", "queue_band", "thm3"], options={"window": 4})
+        cfg = write_config(tmp_path, doc)
+        assert main(["run", "--config", cfg,
+                     "--out", str(tmp_path / "out")]) == 0
+        reports = read_summary(tmp_path)["reports"]
+        assert set(reports) == {"dynamics", "queue_band", "thm3"}
+        assert all(r["verdict"] == "pass" for r in reports.values()), reports

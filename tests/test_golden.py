@@ -1,18 +1,23 @@
-"""Pinned trajectories: the sha256 of Trajectory.to_csv for small fixed
-runs of every buy solver.  A change to the slot kernel, the solvers or
-the price sources that moves any decision, queue or profit changes a
-hash here."""
+"""Pinned outputs.  The sha256 of Trajectory.to_csv for small fixed runs
+of every buy solver: a change to the slot kernel, the solvers or the
+price sources that moves any decision, queue or profit changes a hash
+here.  And the sha256 of the frame lookahead's (psi, decisions) over a
+fixed-seed corpus, which pins its tie-break among optimal sequences."""
 
 import hashlib
 import io
 import random
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
 
 from lyaptrade import (BudgetMode, CostFunction, MarketSpec,
                        MarkovPriceModel, PriceDistribution, PriceTrace,
-                       StockSpec, TraderParams, placeholder_wrap, run_backtest)
+                       StockSpec, TraderParams, lookahead_psi, placeholder_wrap,
+                       run_backtest)
+
+from conftest import random_small_spec, random_trace
 
 FIXED = CostFunction("fixed", fee=5)
 LINEAR = CostFunction("linear", rate=2)
@@ -102,3 +107,38 @@ def csv_sha256(name) -> str:
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_trajectory_csv_is_pinned(name):
     assert csv_sha256(name) == GOLDEN[name]
+
+
+# The hash was taken with the depth-first search that the lookahead DP
+# replaced; 3-stock frames stop at T=3 because that search exceeded its
+# 10^8-node cap on some 3-stock, T=4 frames of this corpus.
+MAX_T = {1: 4, 2: 4, 3: 3}
+LOOKAHEAD_GOLDEN = \
+    "028a6a5a1098b25b0ba38e880eef0bc747176443a1827603f669e17c46918cbc"
+
+
+def lookahead_frames(n=240, seed=2024):
+    """Random frames of 1-3 stocks with mu <= 2, cycling through the
+    none, money and share budgets, T from 1 to MAX_T[n_stocks]."""
+    rng = random.Random(seed)
+    for k in range(n):
+        spec = random_small_spec(rng, max_stocks=3, max_mu=2,
+                                 with_budget=False)
+        mode = ("none", "money", "shares")[k % 3]
+        if mode == "money":
+            spec = replace(spec, budget=BudgetMode(
+                "money", money=rng.randrange(100, 1500)))
+        elif mode == "shares":
+            spec = replace(spec, budget=BudgetMode(
+                "shares", shares=rng.randint(1, 3)))
+        T = rng.randint(1, MAX_T[spec.n_stocks])
+        yield spec, list(random_trace(rng, spec, T).sequence)
+
+
+def test_lookahead_tie_break_is_pinned():
+    digest = hashlib.sha256()
+    for spec, window in lookahead_frames():
+        res = lookahead_psi(spec, window)
+        digest.update(repr((res.psi_cents, tuple(
+            (d.buys, d.sells) for d in res.decisions))).encode())
+    assert digest.hexdigest() == LOOKAHEAD_GOLDEN

@@ -10,6 +10,7 @@ from lyaptrade import (BudgetMode, CostFunction, MarketSpec, PriceDistribution,
                        StockSpec, TradeDecision, TraderParams,
                        brute_force_slot_min, drift_rebalance,
                        enumerate_actions, lookahead_psi, solve_phi_opt)
+from lyaptrade import oracles
 from lyaptrade.errors import CapacityError
 from lyaptrade.market import slot_profit
 from lyaptrade.trader import SlotSolver
@@ -171,7 +172,7 @@ class TestRebalance:
 
 
 def naive_lookahead(spec, window):
-    """Unpruned exhaustive frame search; the pruning oracle's oracle."""
+    """Exhaustive frame enumeration; the lookahead DP's oracle."""
     sets = [enumerate_actions(spec, p).actions for p in window]
     best = 0
     for seq in itertools.product(*sets):
@@ -217,6 +218,15 @@ class TestLookahead:
             res = lookahead_psi(spec, list(trace.sequence))
             assert res.psi_cents == naive_lookahead(spec,
                                                     list(trace.sequence))
+
+    def test_state_bound_checked_before_enumeration(self, monkeypatch):
+        spec = MarketSpec(tuple(StockSpec(i, 3, 200) for i in range(3)))
+
+        def fail(*args, **kwargs):
+            raise AssertionError("actions enumerated before the state check")
+        monkeypatch.setattr(oracles, "enumerate_actions", fail)
+        with pytest.raises(CapacityError, match=f"{50 * 301 ** 3} states"):
+            lookahead_psi(spec, [(100, 100, 100)] * 50)
 
     def test_superadditive_over_frames(self, rng):
         for _ in range(10):
