@@ -19,8 +19,7 @@ from .oracles import (LookaheadResult, PonlyPolicy, PonlySolution,
                       brute_force_slot_min, drift_rebalance,
                       enumerate_actions, lookahead_psi, solve_phi_opt)
 from .prices import (MarkovPriceModel, PriceDistribution, PriceTrace,
-                     load_trace, make_rng, sample_iid, save_trace,
-                     stationary_distribution, step_markov)
+                     load_trace, make_rng, save_trace, stationary_distribution)
 from .trader import (SlotSolver, TraderParams, Trajectory, compute_theta,
                      placeholder_wrap, queue_band, run_backtest, run_profit,
                      scaled_windows_run, startup_cost)

@@ -17,8 +17,8 @@ import numpy as np
 from .errors import StatisticalPowerError, StructuralError
 from .market import (MarketSpec, PortfolioState, TradeDecision, slot_profit,
                      validate_decision)
-from .money import cents_to_units
-from .trader import SlotSolver, TraderParams, Trajectory, _as_fraction
+from .money import _as_fraction, cents_to_units
+from .trader import SlotSolver, TraderParams, Trajectory
 
 PASS, FAIL, VACUOUS = "pass", "fail", "vacuous-pass"
 
@@ -373,36 +373,31 @@ def check_shifted_slot(traj: Trajectory, t0: int, tau: int,
     return ours <= 2 * abs(tau - t0) * mu_sq + theirs
 
 
-def measure_memory_epsilon(model, solution, window: int) -> float:
+def measure_memory_epsilon(model, solution, window: int) -> Fraction:
     """Worst window-averaged deviation of the optimal price-only policy's
     conditional drift and profit from their steady-state values, over all
     conditioning histories of the chain.
 
     By the Markov property the history collapses to the previous state,
-    so the deviation is evaluated exactly from transition-matrix powers
-    rather than sampled.
+    so the deviation is evaluated exactly, in Fractions, from powers of
+    the transition matrix rather than sampled.
     """
     spec = solution.spec
-    k = model.n_states
-    P = np.array(model.transition, dtype=float)
-    phi_opt = float(solution.phi_opt)
     n = spec.n_stocks
-    by_price = {price: acts for price, acts in solution.policy.table}
-    e_net = np.zeros((k, n))
-    e_profit = np.zeros(k)
-    for s, price in enumerate(model.states):
-        for d, q in by_price[price]:
-            qf = float(q)
-            e_profit[s] += qf * float(_phi_dollars(spec, price, d))
-            for i in range(n):
-                e_net[s, i] += qf * (d.buys[i] - d.sells[i])
-    # Average the conditional one-step-ahead expectations over the window.
-    occupancy = np.zeros((k, k))  # row: previous state; col: state at offset
-    step = P.copy()
+    P = model.transition
+    by_price = dict(solution.policy.table)
+    # Per state: the policy's expected net purchase of each stock, then
+    # its expected profit; their steady-state values are 0 and phi_opt.
+    step = [[sum(q * (d.buys[i] - d.sells[i]) for d, q in by_price[price])
+             for i in range(n)]
+            + [sum(q * _phi_dollars(spec, price, d) for d, q in by_price[price])]
+            for price in model.states]
+    steady = [0] * n + [solution.phi_opt]
+    # Sum P^t @ step over the window's offsets t = 1..window.
+    total = [[0] * (n + 1) for _ in P]
     for _ in range(window):
-        occupancy += step
-        step = step @ P
-    occupancy /= window
-    drift_dev = float(np.max(np.abs(occupancy @ e_net)))
-    profit_dev = float(np.max(np.abs(occupancy @ e_profit - phi_opt)))
-    return max(drift_dev, profit_dev)
+        step = [[sum(p * row[c] for p, row in zip(P_s, step))
+                 for c in range(n + 1)] for P_s in P]
+        total = [[a + b for a, b in zip(t, s)] for t, s in zip(total, step)]
+    return max(abs(v / window - v0)
+               for row in total for v, v0 in zip(row, steady))

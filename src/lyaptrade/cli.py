@@ -88,14 +88,13 @@ def _dynamics_report(traj: Trajectory, rep: int) -> BoundReport:
 
 def _deterministic_checks(cfg, spec, params, traj: Trajectory, rep: int):
     reports = {}
-    opts = cfg.options
     for name in cfg.verify:
         if name == "dynamics":
             reports[name] = _dynamics_report(traj, rep)
         elif name == "queue_band":
             reports[name] = verify_queue_band(traj)
         elif name == "slot_optimality":
-            k = int(opts.get("optimality_slots", 50))
+            k = int(cfg.options.get("optimality_slots", 50))
             rng = make_rng(cfg.seed, 10 ** 6 + rep)
             slots = sorted(set(
                 int(t) for t in rng.integers(0, traj.n_slots, size=k)))
@@ -106,14 +105,14 @@ def _deterministic_checks(cfg, spec, params, traj: Trajectory, rep: int):
                 alts.append((t, TradeDecision.zero(spec.n_stocks)))
             reports[name] = verify_slot_optimality(traj, alts)
         elif name == "frame_drift":
-            T = int(opts.get("window", 4))
+            T = int(cfg.options.get("window", 4))
             ok = all(check_frame_drift(traj, t0, T)
                      for t0 in range(0, traj.n_slots - T + 1, T))
             reports[name] = BoundReport(
                 PASS if ok else FAIL, 0.0 if ok else -1.0, rep,
                 {"check": "frame_drift", "window": T})
         elif name == "thm3":
-            T = int(opts.get("window", 4))
+            T = int(cfg.options.get("window", 4))
             M = traj.n_slots // T
             psi = [lookahead_psi(spec, traj.prices[m * T:(m + 1) * T]).psi_cents
                    for m in range(M)]
@@ -123,7 +122,6 @@ def _deterministic_checks(cfg, spec, params, traj: Trajectory, rep: int):
 
 def _statistical_checks(cfg, spec, params, totals):
     reports = {}
-    opts = cfg.options
     for name in cfg.verify:
         if name == "thm1":
             if cfg.source.kind != "iid":
@@ -136,7 +134,7 @@ def _statistical_checks(cfg, spec, params, totals):
             if cfg.source.kind != "markov":
                 raise ConfigError("thm2 needs a markov source",
                                   location="/verify")
-            T = int(opts.get("window", 4))
+            T = int(cfg.options.get("window", 4))
             if cfg.horizon % T:
                 raise ConfigError("horizon must be a multiple of the window",
                                   location="/horizon")
@@ -244,9 +242,6 @@ def cmd_oracle(cfg: ExperimentConfig, out_dir, jobs: int) -> int:
             raise ConfigError("lookahead oracle needs a trace source",
                               location="/oracle")
         T = int(cfg.oracle.get("window", 4))
-        if T < 1:
-            raise ConfigError("lookahead window must be >= 1",
-                              location="/oracle/window")
         M = min(cfg.horizon, len(source)) // T
         frames = [source.sequence[m * T:(m + 1) * T] for m in range(M)]
         worker = functools.partial(lookahead_psi, spec)

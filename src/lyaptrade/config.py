@@ -14,12 +14,16 @@ from fractions import Fraction
 
 from .errors import ConfigError
 from .market import MarketSpec
-from .money import to_cents
+from .money import _as_fraction, to_cents
 from .prices import MarkovPriceModel, PriceDistribution, load_trace
-from .trader import TraderParams, _as_fraction
+from .trader import TraderParams
 
 KNOWN_CHECKS = ("dynamics", "queue_band", "slot_optimality",
                 "frame_drift", "thm1", "thm2", "thm3")
+# Integer entries of the free-form sections: (section, key, least value).
+INTEGER_OPTIONS = (("options", "window", 1), ("options", "optimality_slots", 0),
+                   ("oracle", "window", 1), ("scaled", "frame", 1),
+                   ("scaled", "frames_per_window", 1), ("scaled", "windows", 1))
 
 
 @dataclass(frozen=True)
@@ -56,11 +60,15 @@ class ExperimentConfig:
     write_trajectories: bool = False
 
     def __post_init__(self):
-        if self.horizon < 1:
-            raise ConfigError("horizon must be >= 1", location="/horizon")
-        if self.replications < 1:
-            raise ConfigError("replications must be >= 1",
-                              location="/replications")
+        ints = [("horizon", self.horizon, 1), ("seed", self.seed, 0),
+                ("replications", self.replications, 1)]
+        ints += [(f"{section}/{key}", getattr(self, section)[key], least)
+                 for section, key, least in INTEGER_OPTIONS
+                 if key in getattr(self, section)]
+        for name, value, least in ints:
+            if _integer(value, f"/{name}") < least:
+                raise ConfigError(f"{name} must be >= {least}",
+                                  location=f"/{name}")
         for name in self.verify:
             if name not in KNOWN_CHECKS:
                 raise ConfigError(f"unknown check {name!r} "
@@ -75,11 +83,31 @@ def _price_vector(obj, where):
         raise ConfigError(str(exc), location=where) from exc
 
 
-def _probability(x, where) -> float:
+def _integer(x, where) -> int:
     try:
-        return float(x)
-    except (TypeError, ValueError) as exc:
+        return int(x)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ConfigError(f"{x!r} is not an integer", location=where) from exc
+
+
+def _probability(x, where) -> Fraction:
+    """Exact probability from a number or a decimal/"p/q" string."""
+    try:
+        return Fraction(str(x))
+    except (ValueError, ZeroDivisionError) as exc:
         raise ConfigError(f"{x!r} is not a number", location=where) from exc
+
+
+def _transition_row(row, where) -> tuple:
+    if not isinstance(row, list):
+        raise ConfigError(f"{row!r} is not a list of probabilities",
+                          location=where)
+    row = tuple(_probability(x, f"{where}/{j}") for j, x in enumerate(row))
+    if sum(row) != 1:
+        raise ConfigError(f"row sums to {sum(row)}, not 1; write repeating "
+                          'decimals as fraction strings such as "1/3"',
+                          location=where)
+    return row
 
 
 def _parse_source(obj) -> SourceConfig:
@@ -90,14 +118,14 @@ def _parse_source(obj) -> SourceConfig:
         if kind == "iid":
             support = tuple(_price_vector(v, "/source/support")
                             for v in obj["support"])
-            probs = tuple(Fraction(str(p)) for p in obj["probs"])
+            probs = tuple(_probability(p, f"/source/probs/{i}")
+                          for i, p in enumerate(obj["probs"]))
             return SourceConfig("iid", dist=PriceDistribution(support, probs))
         if kind == "markov":
             states = tuple(_price_vector(v, "/source/states")
                            for v in obj["states"])
             model = MarkovPriceModel(states, tuple(
-                tuple(_probability(x, f"/source/transition/{i}/{j}")
-                      for j, x in enumerate(row))
+                _transition_row(row, f"/source/transition/{i}")
                 for i, row in enumerate(obj["transition"])))
             return SourceConfig("markov", model=model)
         if kind == "trace":
@@ -151,9 +179,9 @@ def config_from_json(doc) -> ExperimentConfig:
         market=market,
         trader=trader,
         source=source,
-        horizon=int(doc["horizon"]),
-        seed=int(doc["seed"]),
-        replications=int(doc.get("replications", 1)),
+        horizon=_integer(doc["horizon"], "/horizon"),
+        seed=_integer(doc["seed"], "/seed"),
+        replications=_integer(doc.get("replications", 1), "/replications"),
         verify=tuple(doc.get("verify", ())),
         oracle=dict(doc.get("oracle", {})),
         scaled=dict(doc.get("scaled", {})),
@@ -181,7 +209,8 @@ def config_to_json(cfg: ExperimentConfig) -> dict:
         source = {"kind": "markov",
                   "states": [[cents_to_str(p) for p in v]
                              for v in src.model.states],
-                  "transition": [list(row) for row in src.model.transition]}
+                  "transition": [[str(x) for x in row]
+                                 for row in src.model.transition]}
     else:
         source = {"kind": "trace", "path": src.path,
                   "cap_policy": src.cap_policy}

@@ -34,11 +34,7 @@ class CapacityError(LyaptradeError):
 
 
 class NumericalError(LyaptradeError):
-    """Ill-conditioned linear solve; carries the residual."""
-
-    def __init__(self, message, residual=None):
-        super().__init__(message)
-        self.residual = residual
+    """Infeasible or unbounded linear program, or simplex iteration cap hit."""
 
 
 class StatisticalPowerError(LyaptradeError):

@@ -47,3 +47,13 @@ def cents_to_str(cents):
 def cents_to_units(cents):
     """Exact dollar value of integer cents, as a Fraction."""
     return Fraction(cents, CENTS_PER_UNIT)
+
+
+def _as_fraction(v) -> Fraction:
+    # str() round-trips decimal literals (0.1 -> 1/10), which is what a
+    # human writing V=0.1 in a config means.
+    if isinstance(v, Fraction):
+        return v
+    if isinstance(v, float):
+        return Fraction(str(v))
+    return Fraction(v)

@@ -9,18 +9,18 @@ and identical seeds reproduce identical sequences bit-for-bit.
 from __future__ import annotations
 
 import csv
+from bisect import bisect_right
 from dataclasses import dataclass
 from decimal import Decimal, InvalidOperation
 from fractions import Fraction
+from itertools import accumulate
 
 import numpy as np
 
-from .errors import ConfigError, NumericalError, ParseError, StructuralError
+from .errors import ConfigError, ParseError, StructuralError
 from .market import MarketSpec
-from .money import cents_to_str
-
-PROB_TOL = 1e-12
-STATIONARY_TOL = 1e-10
+from .money import _as_fraction, cents_to_str
+from .simplex import EQ, solve_lp
 
 
 def make_rng(seed: int, stream: int = 0) -> np.random.Generator:
@@ -68,14 +68,16 @@ class PriceDistribution:
 
 @dataclass(frozen=True)
 class MarkovPriceModel:
-    """Irreducible finite-state chain emitting one price vector per state."""
+    """Irreducible finite-state chain emitting one price vector per state;
+    floats are read through their repr, so 0.4 is exactly 2/5."""
 
     states: tuple           # tuple of per-stock cents tuples, indexed by state id
-    transition: tuple       # row-stochastic matrix as tuple of tuples of floats
+    transition: tuple       # row-stochastic matrix as tuple of tuples of Fractions
 
     def __post_init__(self):
         states = tuple(tuple(int(p) for p in vec) for vec in self.states)
-        matrix = tuple(tuple(float(x) for x in row) for row in self.transition)
+        matrix = tuple(tuple(_as_fraction(x) for x in row)
+                       for row in self.transition)
         k = len(states)
         if k == 0:
             raise ConfigError("empty state list")
@@ -84,8 +86,8 @@ class MarkovPriceModel:
         for i, row in enumerate(matrix):
             if any(x < 0 for x in row):
                 raise ConfigError(f"negative transition probability in row {i}")
-            if abs(sum(row) - 1.0) > PROB_TOL:
-                raise ConfigError(f"transition row {i} does not sum to 1")
+            if sum(row) != 1:
+                raise ConfigError(f"transition row {i} sums to {sum(row)}, not 1")
         object.__setattr__(self, "states", states)
         object.__setattr__(self, "transition", matrix)
         if not self._irreducible():
@@ -141,24 +143,10 @@ class PriceTrace:
             spec.check_prices(vec)
 
 
-def sample_iid(dist: PriceDistribution, rng: np.random.Generator):
-    """Draw one support element."""
-    idx = rng.choice(len(dist.support), p=dist.float_probs())
-    return dist.support[int(idx)]
-
-
 def sample_iid_indices(dist: PriceDistribution, horizon: int,
                        rng: np.random.Generator) -> list:
     """Draw a whole horizon of support indices at once (hot path)."""
     return rng.choice(len(dist.support), size=horizon, p=dist.float_probs()).tolist()
-
-
-def step_markov(model: MarkovPriceModel, state: int, rng: np.random.Generator):
-    """Advance the chain one step; returns (new state, emitted price)."""
-    if not 0 <= state < model.n_states:
-        raise StructuralError(f"unknown state id {state}")
-    nxt = int(rng.choice(model.n_states, p=model.transition[state]))
-    return nxt, model.states[nxt]
 
 
 def markov_state_sequence(model: MarkovPriceModel, start: int, horizon: int,
@@ -166,36 +154,33 @@ def markov_state_sequence(model: MarkovPriceModel, start: int, horizon: int,
     """States visited over a horizon, starting from (and including) start."""
     if not 0 <= start < model.n_states:
         raise StructuralError(f"unknown state id {start}")
-    rows = [np.cumsum(row) for row in model.transition]
-    draws = rng.random(horizon)
+    # Float CDFs summed left to right, as np.cumsum does, so a draw maps
+    # to the same state as an np.searchsorted lookup would.
+    cdfs = [list(accumulate(float(x) for x in row))
+            for row in model.transition]
+    last = model.n_states - 1
     out = []
     state = start
-    for u in draws:
+    for u in rng.random(horizon).tolist():
         out.append(state)
-        state = int(np.searchsorted(rows[state], u, side="right"))
-        state = min(state, model.n_states - 1)
+        state = min(bisect_right(cdfs[state], u), last)
     return out
 
 
 def stationary_distribution(model: MarkovPriceModel) -> PriceDistribution:
-    """Unique stationary distribution, with states sharing a price merged."""
+    """Unique stationary distribution, solved exactly from pi (P - I) = 0,
+    sum(pi) = 1 by the rational simplex; states sharing a price merged."""
     k = model.n_states
-    P = np.array(model.transition, dtype=float)
-    A = np.vstack([P.T - np.eye(k), np.ones((1, k))])
-    b = np.zeros(k + 1)
-    b[-1] = 1.0
-    pi, *_ = np.linalg.lstsq(A, b, rcond=None)
-    residual = float(np.max(np.abs(pi @ P - pi)))
-    if residual > STATIONARY_TOL or np.any(pi < -STATIONARY_TOL):
-        raise NumericalError("stationary solve ill-conditioned", residual=residual)
-    pi = np.clip(pi, 0.0, None)
-    pi /= pi.sum()
+    P = model.transition
+    balance = [([P[i][j] - (i == j) for i in range(k)], EQ, 0)
+               for j in range(k)]
+    _, pi = solve_lp([0] * k, balance + [([1] * k, EQ, 1)])
+    assert all(sum(pi[i] * P[i][j] for i in range(k)) == pi[j]
+               for j in range(k)), "stationary solve is not a fixed point"
     merged: dict = {}
     for vec, prob in zip(model.states, pi):
-        merged[vec] = merged.get(vec, 0.0) + float(prob)
-    support = tuple(merged)
-    probs = tuple(Fraction(merged[v]) for v in support)
-    return PriceDistribution(support, probs)
+        merged[vec] = merged.get(vec, 0) + prob
+    return PriceDistribution(tuple(merged), tuple(merged.values()))
 
 
 def _parse_price_cell(cell: str, row: int) -> int:

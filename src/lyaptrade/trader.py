@@ -23,7 +23,7 @@ from fractions import Fraction
 
 from .errors import CapacityError, ConfigError, StructuralError
 from .market import MarketSpec
-from .money import cents_to_str, cents_to_units
+from .money import _as_fraction, cents_to_str, cents_to_units
 from .prices import (MarkovPriceModel, PriceDistribution, PriceTrace, make_rng,
                      markov_state_sequence, sample_iid_indices)
 
@@ -45,16 +45,6 @@ def capacity_cells(default: int = DEFAULT_CAPACITY_CELLS) -> int:
         raise ConfigError(f"must be a positive integer, got {env!r}",
                           location="LYAPTRADE_CAPACITY_CELLS")
     return cap
-
-
-def _as_fraction(v) -> Fraction:
-    # str() round-trips decimal literals (0.1 -> 1/10), which is what a
-    # human writing V=0.1 in a config means.
-    if isinstance(v, Fraction):
-        return v
-    if isinstance(v, float):
-        return Fraction(str(v))
-    return Fraction(v)
 
 
 def compute_theta(spec: MarketSpec, V) -> tuple:

@@ -236,5 +236,5 @@ def test_ac9_markov_profit_bound():
         assert rep.ok  # vacuous bounds must still classify as passing
     ok = rep is not None and rep.verdict != VACUOUS and rep.ok
     report("AC-9 decaying-memory profit floor", ok,
-           f"(V={params.V}, eps={eps:.2e}, mean {rep.detail['mean']:.4f} >= "
+           f"(V={params.V}, eps={float(eps):.2e}, mean {rep.detail['mean']:.4f} >= "
            f"bound {rep.detail['bound']:.4f} - 3sigma)")

@@ -313,6 +313,13 @@ class TestMemoryEpsilon:
         sol = solve_phi_opt(one_stock_spec(), stationary_distribution(model))
         assert measure_memory_epsilon(model, sol, 4) < 1e-12
 
+    def test_iid_chain_epsilon_is_exactly_zero(self):
+        model = MarkovPriceModel(((100,), (200,), (150,)),
+                                 (("1/3",) * 3,) * 3)
+        sol = solve_phi_opt(one_stock_spec(), stationary_distribution(model))
+        eps = measure_memory_epsilon(model, sol, 4)
+        assert isinstance(eps, Fraction) and eps == 0
+
     def test_epsilon_decays_with_window(self):
         model = MarkovPriceModel(((100,), (200,)),
                                  ((0.8, 0.2), (0.2, 0.8)))

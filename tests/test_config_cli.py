@@ -61,9 +61,61 @@ class TestConfig:
     def test_bad_transition_entry_located(self, tmp_path, capsys):
         doc = dict(BASE, source={
             "kind": "markov", "states": [["1.00"], ["2.00"]],
-            "transition": [[0.5, 0.5], ["1/2", "1/2"]]})
+            "transition": [[0.5, 0.5], ["x", "1/2"]]})
         assert main(["run", "--config", write_config(tmp_path, doc)]) == 5
         assert "/source/transition/1/0" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("change, location", [
+        ({"source": dict(BASE["source"], probs=["x", 0.5])},
+         "/source/probs/0"),
+        ({"source": {"kind": "markov", "states": [["1.00"], ["2.00"]],
+                     "transition": [0.5, 0.5]}}, "/source/transition/0"),
+        ({"source": {"kind": "markov", "states": [["1.00"], ["2.00"]],
+                     "transition": [[0.5, 0.5], ["1/3", "1/3"]]}},
+         "/source/transition/1"),
+        ({"horizon": "ten"}, "/horizon"),
+        ({"seed": -1}, "/seed"),
+        ({"replications": "2x"}, "/replications"),
+        ({"verify": ["frame_drift"], "options": {"window": "x"}},
+         "/options/window"),
+        ({"verify": ["frame_drift"], "options": {"window": 0}},
+         "/options/window"),
+        ({"verify": ["slot_optimality"],
+          "options": {"optimality_slots": "many"}},
+         "/options/optimality_slots"),
+        ({"oracle": {"mode": "lookahead", "window": "x"}}, "/oracle/window"),
+        ({"scaled": {"beta": 0, "frame": "x"}}, "/scaled/frame"),
+    ], ids=["probs-entry", "row-not-list", "row-sum", "horizon", "seed",
+            "replications", "window", "window-zero", "optimality-slots",
+            "oracle-window", "scaled-frame"])
+    def test_bad_field_located(self, tmp_path, capsys, change, location):
+        doc = dict(BASE, **change)
+        assert main(["run", "--config", write_config(tmp_path, doc)]) == 5
+        err = capsys.readouterr().err
+        assert err.startswith(f"config: {location}: ")
+        assert "Traceback" not in err
+
+    def test_row_sum_names_exact_sum(self, tmp_path, capsys):
+        third = 0.3333333333333333  # passed a 1e-12 float tolerance before
+        doc = dict(BASE, source={
+            "kind": "markov", "states": [["1.00"], ["2.00"], ["1.50"]],
+            "transition": [[third] * 3] * 3})
+        assert main(["run", "--config", write_config(tmp_path, doc)]) == 5
+        err = capsys.readouterr().err
+        assert "/source/transition/0" in err
+        assert "9999999999999999/10000000000000000" in err
+        assert '"1/3"' in err
+
+    def test_fraction_transitions_round_trip(self):
+        doc = dict(BASE, source={
+            "kind": "markov", "states": [["1.00"], ["2.00"]],
+            "transition": [["1/3", "2/3"], [0.5, "0.5"]]})
+        cfg = config_from_json(doc)
+        echo = config_to_json(cfg)["source"]["transition"]
+        assert echo == [["1/3", "2/3"], ["1/2", "1/2"]]
+        assert config_to_json(config_from_json(
+            dict(BASE, source=config_to_json(cfg)["source"]))) \
+            == config_to_json(cfg)
 
     def test_bad_location_reported(self):
         doc = dict(BASE, source={"kind": "lognormal"})
@@ -163,6 +215,19 @@ class TestOracleSubcommand:
         assert main(["oracle", "--config", write_config(tmp_path, doc)]) == 0
         out = json.loads(capsys.readouterr().out)
         assert out["oracle"]["solution"]["phi_opt_float"] == 0.5
+        assert out["oracle"]["rebalanced"]["drifts"] == ["0"]
+
+    def test_phi_opt_on_fraction_markov_chain(self, tmp_path, capsys):
+        doc = dict(BASE, oracle={"mode": "phi_opt"}, source={
+            "kind": "markov", "states": [["1.00"], ["2.00"]],
+            "transition": [["1/3", "2/3"], ["1/2", "1/2"]]})
+        assert main(["oracle", "--config", write_config(tmp_path, doc)]) == 0
+        out = json.loads(capsys.readouterr().out)
+        assert out["config"]["source"]["transition"] == [["1/3", "2/3"],
+                                                         ["1/2", "1/2"]]
+        # Stationary (3/7, 4/7): buy a share at every 1.00 and sell as many
+        # at 2.00, earning 1.00 on 3/7 of the slots.
+        assert out["oracle"]["solution"]["phi_opt"] == "3/7"
         assert out["oracle"]["rebalanced"]["drifts"] == ["0"]
 
     def test_lookahead_on_trace(self, tmp_path, capsys):

@@ -7,8 +7,8 @@ import numpy as np
 import pytest
 
 from lyaptrade import (MarkovPriceModel, PriceDistribution, PriceTrace,
-                       load_trace, make_rng, sample_iid, save_trace,
-                       stationary_distribution, step_markov)
+                       load_trace, make_rng, save_trace,
+                       stationary_distribution)
 from lyaptrade.errors import ConfigError, ParseError, StructuralError
 from lyaptrade.prices import markov_state_sequence, sample_iid_indices
 
@@ -18,8 +18,7 @@ from conftest import one_stock_spec
 class TestIid:
     def test_degenerate_support(self):
         dist = PriceDistribution(((150,),), (1,))
-        rng = make_rng(1)
-        assert all(sample_iid(dist, rng) == (150,) for _ in range(20))
+        assert sample_iid_indices(dist, 20, make_rng(1)) == [0] * 20
 
     def test_zero_mass_never_drawn(self):
         dist = PriceDistribution(((100,), (200,)), (1, 0))
@@ -52,13 +51,12 @@ class TestIid:
 class TestMarkov:
     def test_one_state_constant(self):
         model = MarkovPriceModel(((100,),), ((1.0,),))
-        state, price = step_markov(model, 0, make_rng(1))
-        assert state == 0 and price == (100,)
+        assert markov_state_sequence(model, 0, 20, make_rng(1)) == [0] * 20
 
     def test_unknown_state(self):
         model = MarkovPriceModel(((100,),), ((1.0,),))
         with pytest.raises(StructuralError):
-            step_markov(model, 3, make_rng(1))
+            markov_state_sequence(model, 3, 20, make_rng(1))
 
     def test_reducible_rejected(self):
         with pytest.raises(ConfigError):
@@ -84,6 +82,37 @@ class TestMarkov:
         assert seq[0] == 0
         assert all(s in (0, 1) for s in seq)
 
+    @pytest.mark.parametrize("transition", [
+        ((0.3, 0.7), (0.6, 0.4)),
+        ((0.4, 0.3, 0.2, 0.1), (0.2, 0.4, 0.1, 0.3),
+         (0.3, 0.1, 0.4, 0.2), (0.1, 0.2, 0.3, 0.4)),
+        (("1/3", "1/3", "1/3"), (0, "1/7", "6/7"), ("1/2", "1/2", 0)),
+        ((Fraction(51, 100), Fraction(49, 100)),
+         (Fraction(49, 100), Fraction(51, 100))),
+    ])
+    def test_state_sequence_matches_searchsorted(self, transition):
+        # Reference: one np.searchsorted per slot over np.cumsum rows; the
+        # sampler must pick the same state for every draw.
+        k = len(transition)
+        model = MarkovPriceModel(tuple((100 * (s + 1),) for s in range(k)),
+                                 transition)
+        rows = [np.cumsum([float(x) for x in row])
+                for row in model.transition]
+        for seed in range(5):
+            rng = make_rng(seed, 3)
+            state, expected = seed % k, []
+            for u in rng.random(2000):
+                expected.append(state)
+                state = min(int(np.searchsorted(rows[state], u,
+                                                side="right")), k - 1)
+            assert markov_state_sequence(model, seed % k, 2000,
+                                         make_rng(seed, 3)) == expected
+
+    def test_rows_sum_to_exactly_one(self):
+        with pytest.raises(ConfigError, match="sums to 9999999999999999/"):
+            MarkovPriceModel(((100,), (200,), (300,)),
+                             ((0.3333333333333333,) * 3,) * 3)
+
 
 class TestStationary:
     def test_symmetric(self):
@@ -101,6 +130,13 @@ class TestStationary:
         probs = {dist.support[i]: float(p) for i, p in enumerate(dist.probs)}
         assert probs[(100,)] == pytest.approx(2 / 3, abs=1e-9)
         assert probs[(200,)] == pytest.approx(1 / 3, abs=1e-9)
+
+    def test_exact_rational(self):
+        model = MarkovPriceModel(((100,), (200,)),
+                                 ((Fraction(1, 3), Fraction(2, 3)),
+                                  (Fraction(1, 2), Fraction(1, 2))))
+        dist = stationary_distribution(model)
+        assert dist.probs == (Fraction(3, 7), Fraction(4, 7))
 
     def test_one_state(self):
         dist = stationary_distribution(MarkovPriceModel(((100,),), ((1.0,),)))
