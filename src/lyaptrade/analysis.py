@@ -335,19 +335,33 @@ def check_one_slot_drift(traj: Trajectory, t: int) -> bool:
     return drift <= rhs
 
 
-def check_frame_drift(traj: Trajectory, t0: int, window: int) -> bool:
-    """Windowed quadratic drift bound with the frame-start queue, exact."""
-    spec = traj.spec
-    theta = traj.params.resolved_theta(spec)
-    B_tilde = compute_constants(spec, window).B_tilde
-    drift = sample_path_drift(traj, t0, window)
-    rhs = B_tilde * window * window
-    q0 = traj.queue_at(t0)
-    for i in range(spec.n_stocks):
-        net = sum(traj.sells[t][i] - traj.buys[t][i]
-                  for t in range(t0, t0 + window))
-        rhs -= (Fraction(q0[i]) - theta[i]) * net
-    return drift <= rhs
+def check_frame_drift(traj: Trajectory, window: int) -> bool:
+    """T-slot drift bound ΔL <= B̃T² - Σ(Q_n(t0) - θ_n)·net_n on every
+    full frame t0 = 0, T, 2T, ..., exact; False at the first that fails.
+
+    With S the lcm of θ's denominators and x_n = S·Q_n - S·θ_n, twice
+    S² times the bound is Σx_end² - Σx_0² <= (T² + 1)·S²·Σmu_n² -
+    2S·Σx_0,n·net_n, so one pass in plain integers checks every frame."""
+    if window < 1:
+        raise StructuralError("window must be a positive integer")
+    theta = traj.params.resolved_theta(traj.spec)
+    S = math.lcm(*(t.denominator for t in theta))
+    theta_s = [int(t * S) for t in theta]
+    const = (window * window + 1) * S * S \
+        * sum(s.mu_max ** 2 for s in traj.spec.stocks)
+    x0 = [S * q - ts for q, ts in zip(traj.initial_queue, theta_s)]
+    net = [0] * len(x0)
+    slots = zip(traj.sells, traj.buys, traj.queues)
+    for t, (sells, buys, queue) in enumerate(slots, 1):
+        net = [v + s - b for v, s, b in zip(net, sells, buys)]
+        if t % window:
+            continue
+        x1 = [S * q - ts for q, ts in zip(queue, theta_s)]
+        lhs = sum(x * x for x in x1) - sum(x * x for x in x0)
+        if lhs > const - 2 * S * sum(x * v for x, v in zip(x0, net)):
+            return False
+        x0, net = x1, [0] * len(x0)
+    return True
 
 
 def check_shifted_slot(traj: Trajectory, t0: int, tau: int,

@@ -69,6 +69,10 @@ class ExperimentConfig:
             if _integer(value, f"/{name}") < least:
                 raise ConfigError(f"{name} must be >= {least}",
                                   location=f"/{name}")
+        if "beta" in self.scaled and \
+                _rational(self.scaled["beta"], "/scaled/beta") < 0:
+            raise ConfigError("scaled/beta must be >= 0",
+                              location="/scaled/beta")
         for name in self.verify:
             if name not in KNOWN_CHECKS:
                 raise ConfigError(f"unknown check {name!r} "
@@ -84,14 +88,17 @@ def _price_vector(obj, where):
 
 
 def _integer(x, where) -> int:
+    # int() would read true as 1 and truncate 8.9 to 8.
+    if isinstance(x, bool) or isinstance(x, float) and not x.is_integer():
+        raise ConfigError(f"{x!r} is not an integer", location=where)
     try:
         return int(x)
     except (TypeError, ValueError, OverflowError) as exc:
         raise ConfigError(f"{x!r} is not an integer", location=where) from exc
 
 
-def _probability(x, where) -> Fraction:
-    """Exact probability from a number or a decimal/"p/q" string."""
+def _rational(x, where) -> Fraction:
+    """Exact value of a number or a decimal/"p/q" string."""
     try:
         return Fraction(str(x))
     except (ValueError, ZeroDivisionError) as exc:
@@ -102,7 +109,7 @@ def _transition_row(row, where) -> tuple:
     if not isinstance(row, list):
         raise ConfigError(f"{row!r} is not a list of probabilities",
                           location=where)
-    row = tuple(_probability(x, f"{where}/{j}") for j, x in enumerate(row))
+    row = tuple(_rational(x, f"{where}/{j}") for j, x in enumerate(row))
     if sum(row) != 1:
         raise ConfigError(f"row sums to {sum(row)}, not 1; write repeating "
                           'decimals as fraction strings such as "1/3"',
@@ -118,7 +125,7 @@ def _parse_source(obj) -> SourceConfig:
         if kind == "iid":
             support = tuple(_price_vector(v, "/source/support")
                             for v in obj["support"])
-            probs = tuple(_probability(p, f"/source/probs/{i}")
+            probs = tuple(_rational(p, f"/source/probs/{i}")
                           for i, p in enumerate(obj["probs"]))
             return SourceConfig("iid", dist=PriceDistribution(support, probs))
         if kind == "markov":

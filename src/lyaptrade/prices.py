@@ -12,7 +12,6 @@ import csv
 from bisect import bisect_right
 from dataclasses import dataclass
 from decimal import Decimal, InvalidOperation
-from fractions import Fraction
 from itertools import accumulate
 
 import numpy as np
@@ -45,7 +44,7 @@ class PriceDistribution:
             raise ConfigError("empty price support")
         if len({len(v) for v in support}) != 1:
             raise ConfigError("support vectors differ in length")
-        probs = tuple(Fraction(p) for p in self.probs)
+        probs = tuple(_as_fraction(p) for p in self.probs)
         if len(probs) != len(support):
             raise ConfigError("probability list does not match support")
         if any(p < 0 for p in probs):

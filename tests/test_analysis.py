@@ -292,8 +292,61 @@ class TestDriftInequalities:
         for _ in range(5):
             traj = self._traj(rng)
             for T in (1, 2, 5):
-                assert all(check_frame_drift(traj, t0, T)
-                           for t0 in range(0, 40 - T, T))
+                assert check_frame_drift(traj, T)
+
+    @staticmethod
+    def _frame_drift_reference(traj, window) -> bool:
+        """The T-slot lemma in Fractions, one frame at a time."""
+        theta = traj.params.resolved_theta(traj.spec)
+        B_tilde = compute_constants(traj.spec, window).B_tilde
+        for t0 in range(0, traj.n_slots - window + 1, window):
+            rhs = B_tilde * window * window
+            q0 = traj.queue_at(t0)
+            for i in range(traj.spec.n_stocks):
+                net = sum(traj.sells[t][i] - traj.buys[t][i]
+                          for t in range(t0, t0 + window))
+                rhs -= (Fraction(q0[i]) - theta[i]) * net
+            if sample_path_drift(traj, t0, window) > rhs:
+                return False
+        return True
+
+    @staticmethod
+    def _oversize_trades(rng, traj):
+        """Trades past mu_max at a few slots; the queues are rebuilt so
+        they still follow Q <- max(Q - mu + A, 0)."""
+        for _ in range(rng.randint(1, 3)):
+            t = rng.randrange(traj.n_slots)
+            i = rng.randrange(traj.spec.n_stocks)
+            side = traj.buys if rng.random() < 0.5 else traj.sells
+            row = list(side[t])
+            row[i] = rng.randint(1, 4) * traj.spec.stocks[i].mu_max + 1
+            side[t] = tuple(row)
+        q = traj.initial_queue
+        for t in range(traj.n_slots):
+            q = tuple(max(v - m + a, 0)
+                      for v, m, a in zip(q, traj.sells[t], traj.buys[t]))
+            traj.queues[t] = q
+        traj.check_dynamics()
+
+    def test_frames_match_fraction_reference(self, rng):
+        failed = 0
+        for k in range(40):
+            spec = random_small_spec(rng, max_stocks=3, max_mu=2)
+            theta = None if k % 4 < 2 else tuple(
+                Fraction(rng.randrange(1, 900), rng.randint(1, 7))
+                for _ in spec.stocks)
+            V = rng.choice((5, 50, Fraction(35, 3)))
+            traj = run_backtest(spec, TraderParams(V=V, theta=theta),
+                                random_trace(rng, spec, 40), 40)
+            if k % 2:
+                self._oversize_trades(rng, traj)
+            for T in (1, 2, 3, 5, 40):
+                ok = check_frame_drift(traj, T)
+                assert ok == self._frame_drift_reference(traj, T), (k, T)
+                failed += not ok
+        assert failed > 0
+        with pytest.raises(StructuralError):
+            check_frame_drift(traj, 0)
 
     def test_shifted_slots(self, rng):
         from lyaptrade import enumerate_actions

@@ -85,15 +85,28 @@ class TestConfig:
          "/options/optimality_slots"),
         ({"oracle": {"mode": "lookahead", "window": "x"}}, "/oracle/window"),
         ({"scaled": {"beta": 0, "frame": "x"}}, "/scaled/frame"),
+        ({"horizon": 8.9}, "/horizon"),
+        ({"horizon": True}, "/horizon"),
+        ({"verify": ["frame_drift"], "options": {"window": 2.5}},
+         "/options/window"),
+        ({"scaled": {"beta": "x"}}, "/scaled/beta"),
+        ({"scaled": {"beta": -0.1}}, "/scaled/beta"),
     ], ids=["probs-entry", "row-not-list", "row-sum", "horizon", "seed",
             "replications", "window", "window-zero", "optimality-slots",
-            "oracle-window", "scaled-frame"])
+            "oracle-window", "scaled-frame", "horizon-fractional",
+            "horizon-bool", "window-fractional", "scaled-beta",
+            "scaled-beta-negative"])
     def test_bad_field_located(self, tmp_path, capsys, change, location):
         doc = dict(BASE, **change)
         assert main(["run", "--config", write_config(tmp_path, doc)]) == 5
         err = capsys.readouterr().err
         assert err.startswith(f"config: {location}: ")
         assert "Traceback" not in err
+
+    def test_integer_forms_accepted(self):
+        cfg = config_from_json(dict(BASE, horizon="10", seed=3.0,
+                                    options={"window": "2"}))
+        assert (cfg.horizon, cfg.seed, cfg.options["window"]) == (10, 3, "2")
 
     def test_row_sum_names_exact_sum(self, tmp_path, capsys):
         third = 0.3333333333333333  # passed a 1e-12 float tolerance before
@@ -204,6 +217,29 @@ class TestVerifySubcommand:
         assert reports["dynamics"]["verdict"] == "fail"
         assert "slot 19" in reports["dynamics"]["detail"]["error"]
 
+    def test_oversize_trade_fails_frame_drift(self, tmp_path, capsys):
+        doc = dict(BASE, write_trajectories=True, horizon=50,
+                   verify=["dynamics", "frame_drift"], options={"window": 4})
+        cfg = write_config(tmp_path, doc)
+        main(["run", "--config", cfg, "--out", str(tmp_path / "out")])
+        traj_csv = tmp_path / "out" / "trajectory_0.csv"
+        lines = traj_csv.read_text().splitlines()
+        q = 1  # the initial queue, mu_max
+        for k in range(1, len(lines)):  # slot,p_1,A_1,mu_1,Q_1,profit
+            cols = lines[k].split(",")
+            if k == 1:
+                cols[2] = "50"  # buy 50 shares with mu_max = 1
+            q = max(q - int(cols[3]) + int(cols[2]), 0)
+            cols[4] = str(q)
+            lines[k] = ",".join(cols)
+        traj_csv.write_text("\n".join(lines) + "\n")
+        capsys.readouterr()
+        assert main(["verify", "--config", cfg,
+                     "--trajectory", str(traj_csv)]) == 2
+        reports = json.loads(capsys.readouterr().out)["reports"]
+        assert reports["dynamics"]["verdict"] == "pass"
+        assert reports["frame_drift"]["verdict"] == "fail"
+
     def test_statistical_names_rejected(self, tmp_path):
         cfg = write_config(tmp_path, dict(BASE, verify=["thm1"]))
         assert main(["verify", "--config", cfg, "--trajectory", "x.csv"]) == 5
@@ -273,6 +309,15 @@ class TestScaledSubcommand:
         assert scales[0] < scales[1] < scales[2]
         csv_text = (tmp_path / "out" / "scaled_windows.csv").read_text()
         assert csv_text.startswith("window,profit_rate,scale")
+
+
+    @pytest.mark.parametrize("beta", ["x", -1])
+    def test_bad_beta_located(self, tmp_path, capsys, beta):
+        doc = dict(BASE, scaled={"beta": beta, "frame": 4})
+        assert main(["scaled", "--config", write_config(tmp_path, doc)]) == 5
+        err = capsys.readouterr().err
+        assert err.startswith("config: /scaled/beta: ")
+        assert "Traceback" not in err
 
 
 class TestTraceConvert:

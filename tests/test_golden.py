@@ -1,11 +1,14 @@
 """Pinned outputs.  The sha256 of Trajectory.to_csv for small fixed runs
 of every buy solver: a change to the slot kernel, the solvers or the
 price sources that moves any decision, queue or profit changes a hash
-here.  And the sha256 of the frame lookahead's (psi, decisions) over a
-fixed-seed corpus, which pins its tie-break among optimal sequences."""
+here.  The sha256 of the frame lookahead's (psi, decisions) over a
+fixed-seed corpus, which pins its tie-break among optimal sequences.
+And the content_hash of a small `lyaptrade run` with the deterministic
+trajectory verifiers, which pins their verdicts, slacks and loci."""
 
 import hashlib
 import io
+import json
 import random
 from dataclasses import replace
 from fractions import Fraction
@@ -16,6 +19,7 @@ from lyaptrade import (BudgetMode, CostFunction, MarketSpec,
                        MarkovPriceModel, PriceDistribution, PriceTrace,
                        StockSpec, TraderParams, lookahead_psi, placeholder_wrap,
                        run_backtest)
+from lyaptrade.cli import main
 
 from conftest import random_small_spec, random_trace
 
@@ -142,3 +146,33 @@ def test_lookahead_tie_break_is_pinned():
         digest.update(repr((res.psi_cents, tuple(
             (d.buys, d.sells) for d in res.decisions))).encode())
     assert digest.hexdigest() == LOOKAHEAD_GOLDEN
+
+
+RUN_CONFIG = {
+    "market": {"stocks": [{"mu_max": 2, "p_max": "3.00",
+                           "buy_cost": {"kind": "fixed", "fee": "0.05"}},
+                          {"mu_max": 1, "p_max": "2.00",
+                           "sell_cost": {"kind": "linear", "rate": "0.02"}}],
+               "budget": {"mode": "money", "value": "4.00"}},
+    "trader": {"V": "7/3"},
+    "source": {"kind": "iid",
+               "support": [["1.00", "2.00"], ["3.00", "0.50"],
+                           ["2.00", "1.00"]],
+               "probs": ["1/3", "1/2", "1/6"]},
+    "horizon": 301,
+    "seed": 11,
+    "replications": 2,
+    "verify": ["dynamics", "queue_band", "slot_optimality", "frame_drift"],
+    "options": {"window": 3, "optimality_slots": 20},
+}
+RUN_GOLDEN = \
+    "d02390cd46e658a4369455bf4b14a1b79dd1db728e2ce7e027417f13a2cb56ab"
+
+
+def test_run_content_hash_is_pinned(tmp_path, capsys):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(RUN_CONFIG))
+    assert main(["run", "--config", str(path)]) == 0
+    summary = json.loads(capsys.readouterr().out)
+    assert {r["verdict"] for r in summary["reports"].values()} == {"pass"}
+    assert summary["content_hash"] == RUN_GOLDEN

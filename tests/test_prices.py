@@ -47,6 +47,11 @@ class TestIid:
         with pytest.raises(ConfigError):
             PriceDistribution((), ())
 
+    def test_float_probabilities_read_as_decimals(self):
+        # As MarkovPriceModel reads them: 0.1 is 1/10, not its binary value.
+        dist = PriceDistribution(((100,), (200,)), (0.1, 0.9))
+        assert dist.probs == (Fraction(1, 10), Fraction(9, 10))
+
 
 class TestMarkov:
     def test_one_state_constant(self):
