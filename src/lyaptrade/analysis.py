@@ -335,9 +335,10 @@ def check_one_slot_drift(traj: Trajectory, t: int) -> bool:
     return drift <= rhs
 
 
-def check_frame_drift(traj: Trajectory, window: int) -> bool:
+def check_frame_drift(traj: Trajectory, window: int) -> int | None:
     """T-slot drift bound ΔL <= B̃T² - Σ(Q_n(t0) - θ_n)·net_n on every
-    full frame t0 = 0, T, 2T, ..., exact; False at the first that fails.
+    full frame t0 = 0, T, 2T, ..., exact; the start t0 of the first frame
+    that fails, or None when every frame holds.
 
     With S the lcm of θ's denominators and x_n = S·Q_n - S·θ_n, twice
     S² times the bound is Σx_end² - Σx_0² <= (T² + 1)·S²·Σmu_n² -
@@ -359,9 +360,9 @@ def check_frame_drift(traj: Trajectory, window: int) -> bool:
         x1 = [S * q - ts for q, ts in zip(queue, theta_s)]
         lhs = sum(x * x for x in x1) - sum(x * x for x in x0)
         if lhs > const - 2 * S * sum(x * v for x, v in zip(x0, net)):
-            return False
+            return t - window
         x0, net = x1, [0] * len(x0)
-    return True
+    return None
 
 
 def check_shifted_slot(traj: Trajectory, t0: int, tau: int,

@@ -106,10 +106,10 @@ def _deterministic_checks(cfg, spec, params, traj: Trajectory, rep: int):
             reports[name] = verify_slot_optimality(traj, alts)
         elif name == "frame_drift":
             T = int(cfg.options.get("window", 4))
-            ok = check_frame_drift(traj, T)
-            reports[name] = BoundReport(
-                PASS if ok else FAIL, 0.0 if ok else -1.0, rep,
-                {"check": "frame_drift", "window": T})
+            t0 = check_frame_drift(traj, T)
+            detail = {"check": "frame_drift", "window": T}
+            reports[name] = BoundReport(PASS, 0.0, rep, detail) if t0 is None \
+                else BoundReport(FAIL, -1.0, {"rep": rep, "t0": t0}, detail)
         elif name == "thm3":
             T = int(cfg.options.get("window", 4))
             M = traj.n_slots // T

@@ -14,7 +14,7 @@ from fractions import Fraction
 
 from .errors import ConfigError
 from .market import MarketSpec
-from .money import _as_fraction, to_cents
+from .money import _as_fraction, _integer, to_cents
 from .prices import MarkovPriceModel, PriceDistribution, load_trace
 from .trader import TraderParams
 
@@ -87,16 +87,6 @@ def _price_vector(obj, where):
         raise ConfigError(str(exc), location=where) from exc
 
 
-def _integer(x, where) -> int:
-    # int() would read true as 1 and truncate 8.9 to 8.
-    if isinstance(x, bool) or isinstance(x, float) and not x.is_integer():
-        raise ConfigError(f"{x!r} is not an integer", location=where)
-    try:
-        return int(x)
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise ConfigError(f"{x!r} is not an integer", location=where) from exc
-
-
 def _rational(x, where) -> Fraction:
     """Exact value of a number or a decimal/"p/q" string."""
     try:
@@ -154,7 +144,9 @@ def _parse_trader(obj) -> TraderParams:
         if obj.get("theta") is not None:
             kwargs["theta"] = tuple(_as_fraction(t) for t in obj["theta"])
         if obj.get("initial_queue") is not None:
-            kwargs["initial_queue"] = tuple(int(q) for q in obj["initial_queue"])
+            kwargs["initial_queue"] = tuple(
+                _integer(q, f"/trader/initial_queue/{i}")
+                for i, q in enumerate(obj["initial_queue"]))
         kwargs["placeholder"] = bool(obj.get("placeholder", False))
         kwargs["buy_solver"] = obj.get("buy_solver", "exact")
         return TraderParams(**kwargs)

@@ -12,7 +12,7 @@ import json
 from dataclasses import dataclass, field
 
 from .errors import ConfigError, ParseError, StructuralError
-from .money import to_cents
+from .money import _integer, to_cents
 
 # Violation labels emitted by validate_decision.
 SELL_LIMIT = "sell_limit"          # per-stock per-slot sell cap
@@ -199,7 +199,7 @@ class MarketSpec:
             for i, s in enumerate(obj["stocks"]):
                 stocks.append(StockSpec(
                     index=i,
-                    mu_max=int(s["mu_max"]),
+                    mu_max=_integer(s["mu_max"], f"/market/stocks/{i}/mu_max"),
                     p_max=to_cents(s["p_max"], what=f"stocks[{i}].p_max"),
                     buy_cost=CostFunction.from_json(s.get("buy_cost")),
                     sell_cost=CostFunction.from_json(s.get("sell_cost")),
@@ -209,7 +209,8 @@ class MarketSpec:
             if mode == "money":
                 budget = BudgetMode("money", money=to_cents(b["value"], what="budget.value"))
             elif mode == "shares":
-                budget = BudgetMode("shares", shares=int(b["value"]))
+                budget = BudgetMode("shares", shares=_integer(
+                    b["value"], "/market/budget/value"))
             else:
                 budget = BudgetMode("none")
         except (KeyError, TypeError, ValueError, ParseError) as exc:

@@ -8,7 +8,7 @@ is converted on load and rejected if it carries sub-cent precision.
 from decimal import Decimal, InvalidOperation
 from fractions import Fraction
 
-from .errors import ParseError
+from .errors import ConfigError, ParseError
 
 CENTS_PER_UNIT = 100
 
@@ -57,3 +57,13 @@ def _as_fraction(v) -> Fraction:
     if isinstance(v, float):
         return Fraction(str(v))
     return Fraction(v)
+
+
+def _integer(x, where) -> int:
+    # int() would read true as 1 and truncate 8.9 to 8.
+    if isinstance(x, bool) or isinstance(x, float) and not x.is_integer():
+        raise ConfigError(f"{x!r} is not an integer", location=where)
+    try:
+        return int(x)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ConfigError(f"{x!r} is not an integer", location=where) from exc

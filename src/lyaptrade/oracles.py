@@ -42,14 +42,10 @@ def _sell_options(spec, prices, queue=None):
     return opts
 
 
-def enumerate_actions(spec: MarketSpec, prices, queue=None,
-                      cap: int | None = None) -> ActionSet:
-    """Complete feasible action enumeration for one price vector.
-
-    queue=None gives the virtual-policy set (no ownership constraint);
-    passing a queue additionally caps sells by current holdings.
-    """
-    prices = spec.check_prices(prices)
+def _feasible(spec: MarketSpec, prices, queue, cap):
+    """Iterator over the feasible (buys, sells) tuples for checked prices,
+    buy vectors outermost; the size bound is checked against the cap
+    before anything is built."""
     cap = cap if cap is not None else capacity_cells(DEFAULT_ENUM_CAP)
     sell_opts = _sell_options(spec, prices, queue)
     buy_opts = [range(s.mu_max + 1) for s in spec.stocks]
@@ -59,17 +55,27 @@ def enumerate_actions(spec: MarketSpec, prices, queue=None,
     if bound > cap:
         raise CapacityError(f"action set bound {bound} exceeds cap {cap}")
     budget = spec.budget
-    actions = []
-    for buys in itertools.product(*buy_opts):
-        if budget.mode == "money":
-            if sum(a * p for a, p in zip(buys, prices)) > budget.money:
-                continue
-        elif budget.mode == "shares":
-            if sum(buys) > budget.shares:
-                continue
-        for sells in itertools.product(*sell_opts):
-            actions.append(TradeDecision(buys, sells))
-    return ActionSet(prices, tuple(actions))
+    buy_set = list(itertools.product(*buy_opts))
+    if budget.mode == "money":
+        buy_set = [b for b in buy_set
+                   if sum(a * p for a, p in zip(b, prices)) <= budget.money]
+    elif budget.mode == "shares":
+        buy_set = [b for b in buy_set if sum(b) <= budget.shares]
+    sell_set = list(itertools.product(*sell_opts))
+    return ((buys, sells) for buys in buy_set for sells in sell_set)
+
+
+def enumerate_actions(spec: MarketSpec, prices, queue=None,
+                      cap: int | None = None) -> ActionSet:
+    """Complete feasible action enumeration for one price vector.
+
+    queue=None gives the virtual-policy set (no ownership constraint);
+    passing a queue additionally caps sells by current holdings.
+    """
+    prices = spec.check_prices(prices)
+    return ActionSet(prices, tuple(
+        TradeDecision(buys, sells)
+        for buys, sells in _feasible(spec, prices, queue, cap)))
 
 
 @dataclass(frozen=True)
@@ -292,13 +298,9 @@ def brute_force_slot_min(params: TraderParams, spec: MarketSpec,
     the per-slot optimality checks compare against.  Ties prefer the
     smaller trade, then the lower stock index."""
     prices = spec.check_prices(prices)
-    solver = SlotSolver(spec, params)
-    aset = enumerate_actions(spec, prices, queue=queue)
-    best_key = None
-    best = None
-    for d in aset.actions:
-        obj = solver.scaled_objective(prices, queue, d.sells, d.buys)
-        key = (obj, sum(d.sells) + sum(d.buys), d.sells + d.buys)
-        if best_key is None or key < best_key:
-            best_key, best = key, d
-    return best
+    score = SlotSolver(spec, params).scaled_objective
+    _, _, both = min((score(prices, queue, sells, buys),
+                      sum(sells) + sum(buys), sells + buys)
+                     for buys, sells in _feasible(spec, prices, queue, None))
+    n = spec.n_stocks
+    return TradeDecision(both[n:], both[:n])

@@ -23,7 +23,7 @@ from fractions import Fraction
 
 from .errors import CapacityError, ConfigError, StructuralError
 from .market import MarketSpec
-from .money import _as_fraction, cents_to_str, cents_to_units
+from .money import _as_fraction, _integer, cents_to_str, cents_to_units
 from .prices import (MarkovPriceModel, PriceDistribution, PriceTrace, make_rng,
                      markov_state_sequence, sample_iid_indices)
 
@@ -81,7 +81,8 @@ class TraderParams:
                                tuple(_as_fraction(t) for t in self.theta))
         if self.initial_queue is not None:
             object.__setattr__(self, "initial_queue",
-                               tuple(int(q) for q in self.initial_queue))
+                               tuple(_integer(q, f"initial_queue/{i}") for i, q
+                                     in enumerate(self.initial_queue)))
 
     def resolved_theta(self, spec: MarketSpec) -> tuple:
         return self.theta if self.theta is not None else compute_theta(spec, self.V)
@@ -133,6 +134,7 @@ class SlotSolver:
         self.buy_cost = tuple(tuple(s.buy_cost(a) for a in range(s.mu_max + 1))
                               for s in spec.stocks)
         self.budget = spec.budget
+        self.cap = capacity_cells()
         if params.buy_solver == "share_budget" and self.budget.mode != "shares":
             raise ConfigError("share_budget solver needs a share budget")
         if params.buy_solver == "exact" and self.budget.mode == "shares":
@@ -172,51 +174,65 @@ class SlotSolver:
         return [S * q - self.thetaS[n] + k * p
                 for n, (p, q) in enumerate(zip(prices, queue))]
 
-    def _per_stock_min(self, w, n) -> int:
+    def _options(self, w, n) -> list:
+        """(a, w*a + k*cost(a)) for each quantity a of stock n whose term
+        is strictly below that of every smaller quantity.  Any other
+        quantity costs more and holds more shares for no gain, so no
+        lexicographic optimum uses it; the last entry is the per-stock
+        minimiser (lowest a on ties)."""
         table = self.buy_cost[n]
         k = self.k
-        best_a, best = 0, 0
+        out = [(0, 0)]
+        best = 0
         for a in range(1, self.mu_max[n] + 1):
             val = w * a + k * table[a]
             if val < best:
-                best, best_a = val, a
-        return best_a
+                best = val
+                out.append((a, val))
+        return out
 
     def buy_exact(self, prices, queue) -> tuple:
         coeffs = self._buy_coeffs(prices, queue)
         if self.budget.mode == "none":
-            return tuple(self._per_stock_min(w, n) for n, w in enumerate(coeffs))
+            return tuple(self._options(w, n)[-1][0]
+                         for n, w in enumerate(coeffs))
         if self.budget.mode != "money":
             raise StructuralError("exact solver handles money or no budget")
-        return self._money_dp(prices, coeffs)
+        return self._budget_dp(coeffs, prices, self.budget.money,
+                               "money-budget table",
+                               "; consider the greedy solver")
 
-    def _money_dp(self, prices, coeffs) -> tuple:
-        # Dict-keyed DP over money spent; cell value is the lexicographic
-        # best (objective, total shares, buy vector) reaching that spend.
-        x = self.budget.money
-        cap = capacity_cells()
+    def _budget_dp(self, coeffs, sizes, limit, what, hint="") -> tuple:
+        """Lexicographic minimum of (objective, total shares, buy vector)
+        subject to sum_n sizes[n] * a_n <= limit.
+
+        The objective is separable, so when the per-stock minimisers fit
+        the budget they are that minimum: any vector reaching the same
+        objective uses a per-stock minimum in every stock, hence holds at
+        least as many shares.  Otherwise a dict-keyed DP over the budget
+        used runs on the undominated quantities of each stock only."""
+        options = [self._options(w, n) for n, w in enumerate(coeffs)]
+        best = tuple(opts[-1][0] for opts in options)
+        if sum(a * z for a, z in zip(best, sizes)) <= limit:
+            return best
+        cap = self.cap
         work = 0
         dp = {0: (0, 0, ())}
-        k = self.k
-        for n, w in enumerate(coeffs):
-            p = prices[n]
-            table = self.buy_cost[n]
+        for opts, z in zip(options, sizes):
             new: dict = {}
-            for spend, key in dp.items():
-                obj, shares, vec = key
-                for a in range(self.mu_max[n] + 1):
-                    ns = spend + a * p
-                    if ns > x:
+            for used, (obj, shares, vec) in dp.items():
+                for a, term in opts:
+                    u = used + a * z
+                    if u > limit:
                         break
-                    cand = (obj + w * a + k * table[a], shares + a, vec + (a,))
-                    old = new.get(ns)
+                    cand = (obj + term, shares + a, vec + (a,))
+                    old = new.get(u)
                     if old is None or cand < old:
-                        new[ns] = cand
-                work += self.mu_max[n] + 1
+                        new[u] = cand
+                work += len(opts)
                 if work > cap:
-                    raise CapacityError(
-                        f"money-budget table reached {work} cells, over the "
-                        f"cap of {cap}; consider the greedy solver")
+                    raise CapacityError(f"{what} reached {work} cells, over "
+                                        f"the cap of {cap}{hint}")
             dp = new
         return min(dp.values())[2]
 
@@ -308,27 +324,8 @@ class SlotSolver:
                 if remaining == 0:
                     break
             return tuple(A)
-        # General costs: grouped DP over total shares bought.
-        dp = {0: (0, 0, ())}
-        cap = capacity_cells()
-        work = 0
-        for n, w in enumerate(coeffs):
-            table = self.buy_cost[n]
-            new: dict = {}
-            for used, key in dp.items():
-                obj, shares, vec = key
-                for a in range(min(self.mu_max[n], a_tot - used) + 1):
-                    cand = (obj + w * a + k * table[a], shares + a, vec + (a,))
-                    slot = used + a
-                    old = new.get(slot)
-                    if old is None or cand < old:
-                        new[slot] = cand
-                work += self.mu_max[n] + 1
-                if work > cap:
-                    raise CapacityError(f"share-budget table reached {work} "
-                                        f"cells, over the cap of {cap}")
-            dp = new
-        return min(dp.values())[2]
+        return self._budget_dp(coeffs, (1,) * len(coeffs), a_tot,
+                               "share-budget table")
 
     def buy(self, prices, queue) -> tuple:
         if self.params.buy_solver == "greedy":

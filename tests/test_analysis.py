@@ -292,11 +292,12 @@ class TestDriftInequalities:
         for _ in range(5):
             traj = self._traj(rng)
             for T in (1, 2, 5):
-                assert check_frame_drift(traj, T)
+                assert check_frame_drift(traj, T) is None
 
     @staticmethod
-    def _frame_drift_reference(traj, window) -> bool:
-        """The T-slot lemma in Fractions, one frame at a time."""
+    def _frame_drift_reference(traj, window):
+        """The T-slot lemma in Fractions, one frame at a time: the start
+        of the first frame that fails, or None."""
         theta = traj.params.resolved_theta(traj.spec)
         B_tilde = compute_constants(traj.spec, window).B_tilde
         for t0 in range(0, traj.n_slots - window + 1, window):
@@ -307,8 +308,8 @@ class TestDriftInequalities:
                           for t in range(t0, t0 + window))
                 rhs -= (Fraction(q0[i]) - theta[i]) * net
             if sample_path_drift(traj, t0, window) > rhs:
-                return False
-        return True
+                return t0
+        return None
 
     @staticmethod
     def _oversize_trades(rng, traj):
@@ -341,9 +342,9 @@ class TestDriftInequalities:
             if k % 2:
                 self._oversize_trades(rng, traj)
             for T in (1, 2, 3, 5, 40):
-                ok = check_frame_drift(traj, T)
-                assert ok == self._frame_drift_reference(traj, T), (k, T)
-                failed += not ok
+                t0 = check_frame_drift(traj, T)
+                assert t0 == self._frame_drift_reference(traj, T), (k, T)
+                failed += t0 is not None
         assert failed > 0
         with pytest.raises(StructuralError):
             check_frame_drift(traj, 0)

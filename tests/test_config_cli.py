@@ -91,11 +91,20 @@ class TestConfig:
          "/options/window"),
         ({"scaled": {"beta": "x"}}, "/scaled/beta"),
         ({"scaled": {"beta": -0.1}}, "/scaled/beta"),
+        ({"market": {"stocks": [{"mu_max": 1.9, "p_max": "2.00"}]}},
+         "/market/stocks/0/mu_max"),
+        ({"market": {"stocks": [{"mu_max": 1, "p_max": "2.00"}],
+                     "budget": {"mode": "shares", "value": 2.7}},
+          "trader": {"V": "50", "buy_solver": "share_budget"}},
+         "/market/budget/value"),
+        ({"trader": {"V": "50", "initial_queue": [1.5]}},
+         "/trader/initial_queue/0"),
     ], ids=["probs-entry", "row-not-list", "row-sum", "horizon", "seed",
             "replications", "window", "window-zero", "optimality-slots",
             "oracle-window", "scaled-frame", "horizon-fractional",
             "horizon-bool", "window-fractional", "scaled-beta",
-            "scaled-beta-negative"])
+            "scaled-beta-negative", "mu-max-fractional",
+            "share-budget-fractional", "initial-queue-fractional"])
     def test_bad_field_located(self, tmp_path, capsys, change, location):
         doc = dict(BASE, **change)
         assert main(["run", "--config", write_config(tmp_path, doc)]) == 5
@@ -217,7 +226,10 @@ class TestVerifySubcommand:
         assert reports["dynamics"]["verdict"] == "fail"
         assert "slot 19" in reports["dynamics"]["detail"]["error"]
 
-    def test_oversize_trade_fails_frame_drift(self, tmp_path, capsys):
+    @staticmethod
+    def _verify_oversize_buy(tmp_path, capsys, slot):
+        """`verify` on a run's CSV given a 50-share buy (mu_max 1) at
+        `slot`, its queues rebuilt by the recursion: (exit, reports)."""
         doc = dict(BASE, write_trajectories=True, horizon=50,
                    verify=["dynamics", "frame_drift"], options={"window": 4})
         cfg = write_config(tmp_path, doc)
@@ -227,18 +239,27 @@ class TestVerifySubcommand:
         q = 1  # the initial queue, mu_max
         for k in range(1, len(lines)):  # slot,p_1,A_1,mu_1,Q_1,profit
             cols = lines[k].split(",")
-            if k == 1:
-                cols[2] = "50"  # buy 50 shares with mu_max = 1
+            if k == slot + 1:
+                cols[2] = "50"
             q = max(q - int(cols[3]) + int(cols[2]), 0)
             cols[4] = str(q)
             lines[k] = ",".join(cols)
         traj_csv.write_text("\n".join(lines) + "\n")
         capsys.readouterr()
-        assert main(["verify", "--config", cfg,
-                     "--trajectory", str(traj_csv)]) == 2
-        reports = json.loads(capsys.readouterr().out)["reports"]
+        code = main(["verify", "--config", cfg, "--trajectory", str(traj_csv)])
+        return code, json.loads(capsys.readouterr().out)["reports"]
+
+    def test_oversize_trade_fails_frame_drift(self, tmp_path, capsys):
+        code, reports = self._verify_oversize_buy(tmp_path, capsys, 0)
+        assert code == 2
         assert reports["dynamics"]["verdict"] == "pass"
         assert reports["frame_drift"]["verdict"] == "fail"
+
+    def test_frame_drift_fail_names_the_frame(self, tmp_path, capsys):
+        code, reports = self._verify_oversize_buy(tmp_path, capsys, 20)
+        assert code == 2
+        assert reports["frame_drift"]["verdict"] == "fail"
+        assert reports["frame_drift"]["locus"] == {"rep": 0, "t0": 20}
 
     def test_statistical_names_rejected(self, tmp_path):
         cfg = write_config(tmp_path, dict(BASE, verify=["thm1"]))
@@ -358,6 +379,20 @@ class TestCapacityCells:
         err = capsys.readouterr().err
         sizes = [int(v) for v in re.findall(r"\d+", err)]
         assert 5 in sizes and any(v > 5 for v in sizes), err
+
+    def test_slack_budget_never_reaches_the_cap(self, tmp_path, monkeypatch,
+                                                capsys):
+        # The per-stock minimisers always fit a $100 budget, so no DP
+        # runs and a cap of 5 cells is never consulted.
+        monkeypatch.setenv("LYAPTRADE_CAPACITY_CELLS", "5")
+        doc = dict(BASE, market={
+            "stocks": [{"mu_max": 2, "p_max": "2.00"},
+                       {"mu_max": 2, "p_max": "2.00"}],
+            "budget": {"mode": "money", "value": "100.00"}},
+            source={"kind": "iid", "support": [["1.00", "1.00"]],
+                    "probs": [1]})
+        assert main(["run", "--config", write_config(tmp_path, doc)]) == 0
+        assert capsys.readouterr().err == ""
 
     def test_oracles_honour_the_variable(self, monkeypatch):
         spec = MarketSpec((StockSpec(0, 1, 200),))

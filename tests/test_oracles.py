@@ -15,8 +15,8 @@ from lyaptrade.errors import CapacityError
 from lyaptrade.market import slot_profit
 from lyaptrade.trader import SlotSolver
 
-from conftest import (one_stock_spec, random_dist, random_small_spec,
-                      random_trace, uniform_two_price)
+from conftest import (one_stock_spec, params_for, random_dist,
+                      random_small_spec, random_trace, uniform_two_price)
 
 
 class TestEnumerate:
@@ -252,6 +252,30 @@ class TestBruteForce:
                 == solver.scaled_objective(prices, queue, oracle.sells,
                                            oracle.buys)
             assert (buys, sells) == (oracle.buys, oracle.sells)
+
+    @staticmethod
+    def _enumeration_reference(params, spec, prices, queue):
+        """Score every validated TradeDecision of the enumerated set."""
+        solver = SlotSolver(spec, params)
+        best_key = best = None
+        for d in enumerate_actions(spec, prices, queue=queue).actions:
+            key = (solver.scaled_objective(prices, queue, d.sells, d.buys),
+                   sum(d.sells) + sum(d.buys), d.sells + d.buys)
+            if best_key is None or key < best_key:
+                best_key, best = key, d
+        return best
+
+    def test_matches_enumeration_reference(self, rng):
+        for k in range(200):
+            spec = random_small_spec(rng, max_stocks=3, max_mu=2)
+            if k % 4 == 0:
+                spec = MarketSpec(spec.stocks, BudgetMode(
+                    "shares", shares=rng.randint(1, 3)))
+            params = params_for(spec, rng.choice((1, 5, 50, Fraction(35, 3))))
+            prices = tuple(rng.randrange(0, s.p_max + 1) for s in spec.stocks)
+            queue = tuple(rng.randrange(0, 8) for _ in spec.stocks)
+            assert brute_force_slot_min(params, spec, prices, queue) \
+                == self._enumeration_reference(params, spec, prices, queue)
 
     def test_zero_prices_with_fees(self):
         spec = one_stock_spec(buy=CostFunction("fixed", fee=300),

@@ -111,6 +111,80 @@ class TestBuyExact:
                     sum(got), got)
             assert ours == best
 
+    def test_matches_reference_dp(self, rng):
+        def budget_for(stocks):
+            full = sum(s.mu_max * s.p_max for s in stocks)
+            return BudgetMode("money", money=rng.choice(
+                (full, rng.randrange(1, full + 1), rng.randrange(1, 150))))
+
+        branches = {"slack": 0, "dp": 0}
+        for _ in range(400):
+            spec = _random_buy_market(rng, budget_for)
+            params = TraderParams(V=rng.choice((1, 5, 50, Fraction(35, 3))))
+            solver = SlotSolver(spec, params)
+            prices = tuple(0 if rng.random() < 0.2
+                           else rng.randrange(0, s.p_max + 1)
+                           for s in spec.stocks)
+            queue = tuple(rng.randrange(0, 12) for _ in spec.stocks)
+            coeffs = solver._buy_coeffs(prices, queue)
+            free = _unconstrained_min(solver, coeffs)
+            fits = sum(a * p for a, p in zip(free, prices)) \
+                <= spec.budget.money
+            branches["slack" if fits else "dp"] += 1
+            assert solver.buy_exact(prices, queue) == _reference_dp(
+                solver, coeffs, prices, spec.budget.money)
+        assert min(branches.values()) >= 50, branches
+
+
+def _reference_dp(solver, coeffs, sizes, limit) -> tuple:
+    """Unpruned budget DP over every quantity of every stock, no early
+    return: lexicographic minimum of (objective, shares, buy vector)
+    subject to sum_n sizes[n] * a_n <= limit."""
+    dp = {0: (0, 0, ())}
+    for n, w in enumerate(coeffs):
+        new = {}
+        for used, (obj, shares, vec) in dp.items():
+            for a in range(solver.mu_max[n] + 1):
+                u = used + a * sizes[n]
+                if u > limit:
+                    continue
+                cand = (obj + w * a + solver.k * solver.buy_cost[n][a],
+                        shares + a, vec + (a,))
+                if u not in new or cand < new[u]:
+                    new[u] = cand
+        dp = new
+    return min(dp.values())[2]
+
+
+def _unconstrained_min(solver, coeffs) -> tuple:
+    """Per-stock minimiser of w*a + k*cost(a), lowest a on ties."""
+    return tuple(min(range(solver.mu_max[n] + 1),
+                     key=lambda a: (w * a + solver.k * solver.buy_cost[n][a],
+                                    a))
+                 for n, w in enumerate(coeffs))
+
+
+def _random_buy_market(rng, budget_for) -> MarketSpec:
+    """1-3 stocks with zero, linear, fixed or non-concave table buy
+    costs; budget_for(stocks) picks the budget."""
+    stocks = []
+    for i in range(rng.randint(1, 3)):
+        mu = rng.randint(1, 3)
+        p_max = rng.choice((100, 200, 300))
+        kind = rng.choice(("zero", "linear", "fixed", "fixed", "table"))
+        if kind == "linear":
+            cost = CostFunction("linear", rate=rng.randrange(0, 40))
+        elif kind == "fixed":
+            cost = CostFunction("fixed", fee=rng.randrange(1, 150))
+        elif kind == "table":
+            steps = [rng.randrange(0, 60) for _ in range(mu)]
+            cost = CostFunction("table", values=tuple(
+                sum(steps[:j]) for j in range(mu + 1)))
+        else:
+            cost = CostFunction()
+        stocks.append(StockSpec(i, mu, p_max, buy_cost=cost))
+    return MarketSpec(tuple(stocks), budget_for(stocks))
+
 
 class TestBuyGreedy:
     def test_nonnegative_coeffs_buy_nothing(self):
@@ -200,6 +274,33 @@ class TestBuyShareBudget:
                 for d in enumerate_actions(spec, prices).actions)
             assert best[2] == got
 
+
+    def test_general_costs_match_reference_dp(self, rng):
+        def budget_for(stocks):
+            total = sum(s.mu_max for s in stocks)
+            return BudgetMode("shares", shares=rng.randint(1, total))
+
+        branches = {"slack": 0, "dp": 0}
+        for _ in range(400):
+            spec = _random_buy_market(rng, budget_for)
+            if all(s.buy_cost.kind in ("zero", "linear")
+                   for s in spec.stocks):
+                continue  # the constant-weight fill, not the DP path
+            params = TraderParams(V=rng.choice((1, 5, 50, Fraction(35, 3))),
+                                  buy_solver="share_budget")
+            solver = SlotSolver(spec, params)
+            prices = tuple(0 if rng.random() < 0.2
+                           else rng.randrange(0, s.p_max + 1)
+                           for s in spec.stocks)
+            queue = tuple(rng.randrange(0, 12) for _ in spec.stocks)
+            coeffs = solver._buy_coeffs(prices, queue)
+            fits = sum(_unconstrained_min(solver, coeffs)) \
+                <= spec.budget.shares
+            branches["slack" if fits else "dp"] += 1
+            ones = (1,) * spec.n_stocks
+            assert solver.buy_share_budget(prices, queue) == _reference_dp(
+                solver, coeffs, ones, spec.budget.shares)
+        assert min(branches.values()) >= 50, branches
 
 class TestStep:
     def test_degenerate_prices_yield_zero_decision(self):
