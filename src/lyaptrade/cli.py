@@ -31,8 +31,8 @@ from .money import cents_to_str
 from .oracles import brute_force_slot_min, drift_rebalance, lookahead_psi, \
     solve_phi_opt
 from .prices import load_trace, make_rng, save_trace, stationary_distribution
-from .trader import (Trajectory, placeholder_wrap, run_backtest, run_profit,
-                     scaled_windows_run)
+from .trader import (SlotSolver, Trajectory, placeholder_wrap, run_backtest,
+                     run_profit, scaled_windows_run)
 
 EXIT_OK, EXIT_DETERMINISTIC, EXIT_STATISTICAL = 0, 2, 3
 EXIT_CAPACITY, EXIT_CONFIG = 4, 5
@@ -68,13 +68,13 @@ def _emit(bundle: dict, out_dir, name="summary.json"):
         print(text)
 
 
-def _run_one(spec, params, source, horizon, seed, records, r):
-    if records:
-        return r, run_backtest(spec, params, source, horizon,
-                               seed=seed, stream=r)
-    total, queue = run_profit(spec, params, source, horizon,
-                              seed=seed, stream=r)
-    return r, (total, queue)
+def _run_block(spec, params, source, horizon, seed, records, reps):
+    """[(r, trajectory or (total, queue))] for the replications `reps`,
+    all through one solver so its slot memo spans the block."""
+    run = run_backtest if records else run_profit
+    solver = SlotSolver(spec, params)
+    return [(r, run(spec, params, source, horizon, seed=seed, stream=r,
+                    solver=solver)) for r in reps]
 
 
 def _dynamics_report(traj: Trajectory, rep: int) -> BoundReport:
@@ -169,14 +169,16 @@ def cmd_run(cfg: ExperimentConfig, out_dir, jobs: int) -> int:
     source, spec, params = _resolved(cfg)
     records = bool(cfg.verify and set(cfg.verify) & set(DETERMINISTIC_CHECKS)) \
         or cfg.write_trajectories
-    worker = functools.partial(_run_one, spec, params, source,
+    worker = functools.partial(_run_block, spec, params, source,
                                cfg.horizon, cfg.seed, records)
     reps = range(cfg.replications)
     if jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            results = sorted(pool.map(worker, reps))
+        blocks = [reps[i::jobs] for i in range(min(jobs, len(reps)))]
+        with ProcessPoolExecutor(max_workers=len(blocks)) as pool:
+            results = sorted((item for block in pool.map(worker, blocks)
+                              for item in block), key=lambda item: item[0])
     else:
-        results = [worker(r) for r in reps]
+        results = worker(reps)
     totals = []
     det_reports = []
     for r, payload in results:

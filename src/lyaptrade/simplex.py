@@ -1,12 +1,15 @@
 """Self-contained dense two-phase simplex with Bland's rule.
 
-Runs in exact rational arithmetic (Fractions), which is what the policy
-oracle needs.  Only the surface the oracles need: non-negative
-variables, rows with <=, >= or = sense.
+Exact: each tableau row is a list of ints, the true rational row times
+an unstated positive factor, divided by its gcd after every pivot.
+Signs and ratios within a row do not depend on that factor, so the
+pivots are those of a rational tableau.  Only the surface the oracles
+need: non-negative variables, rows with <=, >= or = sense.
 """
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
 from .errors import NumericalError, StructuralError
@@ -14,13 +17,20 @@ from .errors import NumericalError, StructuralError
 LEQ, GEQ, EQ = "<=", ">=", "="
 
 
+def _reduced(row):
+    g = math.gcd(*row)
+    return row if g < 2 else [v // g for v in row]
+
+
 def _pivot(rows, basis, r, c):
-    piv = rows[r][c]
-    rows[r] = [v / piv for v in rows[r]]
+    if rows[r][c] < 0:
+        rows[r] = [-v for v in rows[r]]
+    prow = rows[r]
+    piv = prow[c]
     for i, row in enumerate(rows):
         if i != r and row[c] != 0:
             f = row[c]
-            rows[i] = [a - f * b for a, b in zip(row, rows[r])]
+            rows[i] = _reduced([piv * a - f * b for a, b in zip(row, prow)])
     if r < len(basis):
         basis[r] = c
 
@@ -32,14 +42,14 @@ def _minimize(rows, basis, m, width, max_iters=100000):
         col = next((j for j in range(width - 1) if obj[j] < 0), None)
         if col is None:
             return
-        best_r, best_ratio = None, None
+        best_r, num, den = None, 0, 1  # best ratio num/den, den > 0
         for i in range(m):
             a = rows[i][col]
             if a > 0:
-                ratio = rows[i][-1] / a
-                if best_ratio is None or ratio < best_ratio or (
-                        ratio == best_ratio and basis[i] < basis[best_r]):
-                    best_r, best_ratio = i, ratio
+                diff = rows[i][-1] * den - num * a
+                if best_r is None or diff < 0 or (
+                        diff == 0 and basis[i] < basis[best_r]):
+                    best_r, num, den = i, rows[i][-1], a
         if best_r is None:
             raise NumericalError("linear program is unbounded")
         _pivot(rows, basis, best_r, col)
@@ -55,49 +65,39 @@ def solve_lp(objective, constraints, maximize=True):
     """
     c = [Fraction(v) for v in objective]
     n = len(c)
-    rows = []
-    senses = []
-    rhs = []
-    for coeffs, sense, b in constraints:
+    m = len(constraints)
+    n_slack = sum(1 for _, s, _ in constraints if s != EQ)
+    width = n + n_slack + m + 1  # structural + slack/surplus + artificial + rhs
+    basis = list(range(n + n_slack, n + n_slack + m))
+    tab = []
+    slack_at = n
+    for (coeffs, sense, b), art in zip(constraints, basis):
         if len(coeffs) != n:
             raise StructuralError("constraint width does not match objective")
         if sense not in (LEQ, GEQ, EQ):
             raise StructuralError(f"unknown sense {sense!r}")
-        rows.append([Fraction(v) for v in coeffs])
-        senses.append(sense)
-        rhs.append(Fraction(b))
-    m = len(rows)
-    n_slack = sum(1 for s in senses if s != EQ)
-    width = n + n_slack + m + 1  # structural + slack/surplus + artificial + rhs
-    tab = []
-    slack_at = n
-    for i in range(m):
-        row = [Fraction(0)] * width
-        row[:n] = rows[i]
-        row[-1] = rhs[i]
-        if senses[i] == LEQ:
-            row[slack_at] = Fraction(1)
+        vals = [Fraction(v) for v in coeffs] + [Fraction(b)]
+        scale = math.lcm(*(v.denominator for v in vals))
+        if vals[-1] < 0:
+            scale = -scale
+        ints = [v.numerator * (scale // v.denominator) for v in vals]
+        row = ints[:n] + [0] * (width - n - 1) + ints[-1:]
+        if sense != EQ:
+            row[slack_at] = scale if sense == LEQ else -scale
             slack_at += 1
-        elif senses[i] == GEQ:
-            row[slack_at] = Fraction(-1)
-            slack_at += 1
-        if row[-1] < 0:
-            row = [-v for v in row]
+        row[art] = abs(scale)
         tab.append(row)
-    basis = []
+    # Phase 1: minimize the sum of artificials, each row divided by its
+    # factor (its artificial entry) to a common multiple of them.
+    common = math.lcm(*(tab[i][basis[i]] for i in range(m)))
+    phase1 = [0] * width
     for i in range(m):
-        art = n + n_slack + i
-        tab[i][art] = Fraction(1)
-        basis.append(art)
-    # Phase 1: minimize the sum of artificials.
-    phase1 = [Fraction(0)] * width
-    for i in range(m):
-        for j in range(width):
-            phase1[j] -= tab[i][j]
+        f = common // tab[i][basis[i]]
+        phase1 = [p - f * v for p, v in zip(phase1, tab[i])]
     # Artificial columns are basic: zero reduced cost.
     for i in range(m):
-        phase1[n + n_slack + i] = Fraction(0)
-    tab.append(phase1)
+        phase1[n + n_slack + i] = 0
+    tab.append(_reduced(phase1))
     _minimize(tab, basis, m, width)
     if tab[m][-1] < 0:  # -(sum of artificials)
         raise NumericalError("linear program is infeasible")
@@ -112,20 +112,21 @@ def solve_lp(objective, constraints, maximize=True):
     for i in range(m):
         tab[i] = tab[i][:keep] + [tab[i][-1]]
     width = keep + 1
-    # Phase 2.
+    # Phase 2: the objective row, scaled to integers, with each basic
+    # column eliminated by its row (whose factor is its basic entry).
     sign = -1 if maximize else 1
-    obj = [Fraction(0)] * width
-    for j in range(n):
-        obj[j] = sign * c[j]
+    scale = math.lcm(*(v.denominator for v in c))
+    obj = [sign * v.numerator * (scale // v.denominator) for v in c] \
+        + [0] * (width - n)
     for i in range(m):
         if basis[i] < keep and obj[basis[i]] != 0:
-            f = obj[basis[i]]
-            obj = [a - f * b for a, b in zip(obj, tab[i])]
+            f, d = obj[basis[i]], tab[i][basis[i]]
+            obj = _reduced([d * a - f * b for a, b in zip(obj, tab[i])])
     tab.append(obj)
     _minimize(tab, basis, m, width)
     x = [Fraction(0)] * n
     for i in range(m):
         if basis[i] < n:
-            x[basis[i]] = tab[i][-1]
+            x[basis[i]] = Fraction(tab[i][-1], tab[i][basis[i]])
     value = sum(ci * xi for ci, xi in zip(c, x))
     return value, x

@@ -37,10 +37,7 @@ def capacity_cells(default: int = DEFAULT_CAPACITY_CELLS) -> int:
     env = os.environ.get("LYAPTRADE_CAPACITY_CELLS")
     if not env:
         return default
-    try:
-        cap = int(env)
-    except ValueError:
-        cap = 0
+    cap = _integer(env, "LYAPTRADE_CAPACITY_CELLS")
     if cap < 1:
         raise ConfigError(f"must be a positive integer, got {env!r}",
                           location="LYAPTRADE_CAPACITY_CELLS")
@@ -112,7 +109,9 @@ class SlotSolver:
 
     The slot objective is scaled by S = lcm(100 * den(V), den(theta_n)) so
     every comparison is between Python ints.  k = S*V/100 multiplies any
-    cents quantity to form a scaled V*money term.
+    cents quantity to form a scaled V*money term.  Decisions depend only
+    on (queue, prices), so `memo` keeps each pair's step for as long as
+    the solver lives, across every run given it.
     """
 
     def __init__(self, spec: MarketSpec, params: TraderParams):
@@ -135,6 +134,7 @@ class SlotSolver:
                               for s in spec.stocks)
         self.budget = spec.budget
         self.cap = capacity_cells()
+        self.memo: dict = {}
         if params.buy_solver == "share_budget" and self.budget.mode != "shares":
             raise ConfigError("share_budget solver needs a share budget")
         if params.buy_solver == "exact" and self.budget.mode == "shares":
@@ -455,14 +455,15 @@ class Trajectory:
         traj = Trajectory(spec, params,
                           tuple(initial_queue) if initial_queue is not None
                           else params.resolved_initial_queue(spec))
+        columns = (("A", traj.buys), ("mu", traj.sells), ("Q", traj.queues))
         for rownum, row in enumerate(reader, start=1):
             if len(row) != 4 * n + 2:
                 raise StructuralError(f"row {rownum}: wrong column count")
             traj.prices.append(tuple(_parse_price_cell(c, rownum)
                                      for c in row[1:1 + n]))
-            traj.buys.append(tuple(int(c) for c in row[1 + n:1 + 2 * n]))
-            traj.sells.append(tuple(int(c) for c in row[1 + 2 * n:1 + 3 * n]))
-            traj.queues.append(tuple(int(c) for c in row[1 + 3 * n:1 + 4 * n]))
+            for k, (name, out) in enumerate(columns, start=1):
+                out.append(tuple(_integer(c, f"row {rownum}/{name}_{i + 1}")
+                                 for i, c in enumerate(row[1 + k * n:][:n])))
             traj.profits.append(_parse_price_cell(row[-1].lstrip("-"), rownum)
                                 * (-1 if row[-1].startswith("-") else 1))
         return traj
@@ -491,16 +492,18 @@ def _price_sequence(spec, source, horizon, seed, stream):
     raise StructuralError(f"unknown price source {type(source).__name__}")
 
 
-def _slots(spec, params, source, horizon, seed, stream):
-    """Yield (prices, (sells, buys, profit, next queue)) for every slot.
-
-    Decisions depend only on (queue, prices), so each distinct pair is
-    solved once and replayed from the memo afterwards.
-    """
+def _slots(spec, params, solver, source, horizon, seed, stream):
+    """Yield (prices, (sells, buys, profit, next queue)) for every slot,
+    each distinct (queue, prices) pair solved once per solver (a fresh
+    one when solver is None)."""
     seq = _price_sequence(spec, source, horizon, seed, stream)
-    step = SlotSolver(spec, params).step
+    if solver is None:
+        solver = SlotSolver(spec, params)
+    elif solver.spec != spec or solver.params != params:
+        raise StructuralError("solver was built for a different market "
+                              "or trader parameters")
+    step, memo = solver.step, solver.memo
     q = params.resolved_initial_queue(spec)
-    memo: dict = {}
     for p in seq:
         key = (q, p)
         hit = memo.get(key)
@@ -511,24 +514,27 @@ def _slots(spec, params, source, horizon, seed, stream):
 
 
 def run_backtest(spec: MarketSpec, params: TraderParams, source,
-                 horizon: int, seed: int = 0, stream: int = 0) -> Trajectory:
-    """Full per-slot trajectory; deterministic given (seed, stream)."""
+                 horizon: int, seed: int = 0, stream: int = 0, *,
+                 solver: SlotSolver | None = None) -> Trajectory:
+    """Full per-slot trajectory; deterministic given (seed, stream).
+    A solver built for (spec, params) may be passed to share its memo."""
     traj = Trajectory(spec, params, params.resolved_initial_queue(spec))
     ap, ab, as_, aq, apr = (traj.prices.append, traj.buys.append,
                             traj.sells.append, traj.queues.append,
                             traj.profits.append)
-    for p, (sells, buys, profit, nq) in _slots(spec, params, source, horizon,
-                                              seed, stream):
+    for p, (sells, buys, profit, nq) in _slots(spec, params, solver, source,
+                                              horizon, seed, stream):
         ap(p); ab(buys); as_(sells); aq(nq); apr(profit)
     return traj
 
 
 def run_profit(spec: MarketSpec, params: TraderParams, source,
-               horizon: int, seed: int = 0, stream: int = 0):
+               horizon: int, seed: int = 0, stream: int = 0, *,
+               solver: SlotSolver | None = None):
     """Light-weight run: (total profit cents, final queue), no records."""
     total = 0
-    for _, (_, _, profit, q) in _slots(spec, params, source, horizon,
-                                       seed, stream):
+    for _, (_, _, profit, q) in _slots(spec, params, solver, source,
+                                       horizon, seed, stream):
         total += profit
     return total, q
 

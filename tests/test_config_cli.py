@@ -174,6 +174,35 @@ class TestRun:
         b = json.loads((tmp_path / "p" / "summary.json").read_text())
         assert a["content_hash"] == b["content_hash"]
 
+    def test_jobs_deal_markov_replications_into_blocks(self, tmp_path):
+        doc = dict(BASE, replications=5, horizon=400, source={
+            "kind": "markov", "states": [["1.00"], ["2.00"], ["1.50"]],
+            "transition": [["1/2", "1/4", "1/4"], ["1/5", "3/5", "1/5"],
+                           ["1/4", "1/4", "1/2"]]})
+        cfg = write_config(tmp_path, doc)
+        hashes = set()
+        for jobs in ("1", "2", "3"):
+            out = tmp_path / jobs
+            assert main(["run", "--config", cfg, "--jobs", jobs,
+                         "--out", str(out)]) == 0
+            hashes.add(json.loads((out / "summary.json").read_text())
+                       ["content_hash"])
+        assert len(hashes) == 1
+
+    def test_jobs_write_identical_trajectories(self, tmp_path):
+        doc = dict(BASE, replications=4, horizon=300, write_trajectories=True,
+                   verify=["dynamics", "queue_band"])
+        cfg = write_config(tmp_path, doc)
+        for jobs in ("1", "3"):
+            assert main(["run", "--config", cfg, "--jobs", jobs,
+                         "--out", str(tmp_path / jobs)]) == 0
+        for r in range(4):
+            name = f"trajectory_{r}.csv"
+            assert (tmp_path / "1" / name).read_bytes() \
+                == (tmp_path / "3" / name).read_bytes()
+        assert (tmp_path / "1" / "summary.json").read_bytes() \
+            == (tmp_path / "3" / "summary.json").read_bytes()
+
     def test_seed_override_changes_results(self, tmp_path):
         cfg = write_config(tmp_path, BASE)
         main(["run", "--config", cfg, "--out", str(tmp_path / "a")])
@@ -260,6 +289,23 @@ class TestVerifySubcommand:
         assert code == 2
         assert reports["frame_drift"]["verdict"] == "fail"
         assert reports["frame_drift"]["locus"] == {"rep": 0, "t0": 20}
+
+    def test_fractional_share_cell_is_located(self, tmp_path, capsys):
+        doc = dict(BASE, write_trajectories=True, horizon=50,
+                   verify=["queue_band"])
+        cfg = write_config(tmp_path, doc)
+        main(["run", "--config", cfg, "--out", str(tmp_path / "out")])
+        traj_csv = tmp_path / "out" / "trajectory_0.csv"
+        lines = traj_csv.read_text().splitlines()
+        cols = lines[2].split(",")  # slot,p_1,A_1,mu_1,Q_1,profit
+        cols[3] = "1.5"
+        lines[2] = ",".join(cols)
+        traj_csv.write_text("\n".join(lines) + "\n")
+        capsys.readouterr()
+        assert main(["verify", "--config", cfg,
+                     "--trajectory", str(traj_csv)]) == 5
+        err = capsys.readouterr().err
+        assert "row 2/mu_1" in err and "'1.5'" in err, err
 
     def test_statistical_names_rejected(self, tmp_path):
         cfg = write_config(tmp_path, dict(BASE, verify=["thm1"]))

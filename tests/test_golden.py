@@ -3,6 +3,8 @@ of every buy solver: a change to the slot kernel, the solvers or the
 price sources that moves any decision, queue or profit changes a hash
 here.  The sha256 of the frame lookahead's (psi, decisions) over a
 fixed-seed corpus, which pins its tie-break among optimal sequences.
+The sha256 of the price-only LP's rebalanced policy and the exact
+memory epsilon, which pin the simplex's choice among alternative optima.
 And the content_hash of a small `lyaptrade run` with the deterministic
 trajectory verifiers, which pins their verdicts, slacks and loci."""
 
@@ -19,9 +21,12 @@ from lyaptrade import (BudgetMode, CostFunction, MarketSpec,
                        MarkovPriceModel, PriceDistribution, PriceTrace,
                        StockSpec, TraderParams, lookahead_psi, placeholder_wrap,
                        run_backtest)
+from lyaptrade.analysis import measure_memory_epsilon
 from lyaptrade.cli import main
+from lyaptrade.oracles import drift_rebalance, solve_phi_opt
+from lyaptrade.prices import stationary_distribution
 
-from conftest import random_small_spec, random_trace
+from conftest import random_dist, random_small_spec, random_trace
 
 FIXED = CostFunction("fixed", fee=5)
 LINEAR = CostFunction("linear", rate=2)
@@ -176,3 +181,62 @@ def test_run_content_hash_is_pinned(tmp_path, capsys):
     summary = json.loads(capsys.readouterr().out)
     assert {r["verdict"] for r in summary["reports"].values()} == {"pass"}
     assert summary["content_hash"] == RUN_GOLDEN
+
+
+# The price-only LP and its rebalanced policy: the sha256 of the policy
+# table (with phi_opt and the drifts) and the exact memory epsilon over a
+# window of 4, taken with the rational-tableau simplex.  The LP has
+# alternative optima here, so a different pivot order would move them.
+MARKOV_ENSEMBLE = (
+    MarketSpec((StockSpec(0, 3, 300, CostFunction("fixed", fee=10),
+                          CostFunction("linear", rate=1)),
+                StockSpec(1, 3, 200, LINEAR, CostFunction())),
+               BudgetMode("money", money=400)),
+    MarkovPriceModel(((100, 200), (200, 100), (300, 150), (150, 50)),
+                     ((0.4, 0.3, 0.2, 0.1), (0.2, 0.4, 0.1, 0.3),
+                      (0.3, 0.1, 0.4, 0.2), (0.1, 0.2, 0.3, 0.4))))
+PHI_OPT_GOLDEN = [
+    ("c4231fbe7e05cc94a42c43cf0c9f705778cfe90ce874cead995524afeb74a031",
+     "876621/1000000"),
+    ("bcb78e4abe00d99c1f22997571dc8f542e2cd7ec02c42a6af42a44f9c61dc055",
+     "72873289127/4388693400000"),
+    ("9751a39b4f5a217ba5cfab16b1541ffa1c5905e0db3f9633eeb0027169e2f55d",
+     "193245405543/1639792000000"),
+    ("ae3188149868d05c13ad3627d628b3112d6fc0ade31c0973d57e21b3e338a38f",
+     "1963/12960"),
+    ("fd91674b0ce199efc30bab0c68463bbe9ee615c14b14230aef5868cdb90c3f2b",
+     "23418052353/200874520000"),
+    ("77f9cb4acf9dea3e56264251e1300d2dd5dfcbb25a7cf81cd25ce728f407e59b",
+     "1782081/1280000"),
+]
+
+
+def phi_opt_markets(n=5, seed=3):
+    """The two-stock, mu 3 chain of the Markov ensemble benchmark, then
+    AC-8-style random markets of 1-2 stocks on random 2-3 state chains."""
+    yield MARKOV_ENSEMBLE
+    rng = random.Random(seed)
+    for _ in range(n):
+        spec = random_small_spec(rng, max_stocks=2, max_mu=2)
+        k = rng.randint(2, 3)
+        states = random_dist(rng, spec, n_points=k).support
+        rows = []
+        for _ in range(k):
+            w = [rng.randint(1, 5) for _ in range(k)]
+            rows.append(tuple(Fraction(v, sum(w)) for v in w))
+        yield spec, MarkovPriceModel(states, tuple(rows))
+
+
+def test_phi_opt_policy_and_epsilon_are_pinned():
+    got = []
+    for spec, model in phi_opt_markets():
+        sol = drift_rebalance(solve_phi_opt(spec,
+                                            stationary_distribution(model)))
+        table = tuple((price, tuple((d.buys, d.sells, str(q))
+                                    for d, q in acts))
+                      for price, acts in sol.policy.table)
+        digest = hashlib.sha256(repr((str(sol.phi_opt),
+                                      tuple(map(str, sol.drifts)),
+                                      table)).encode()).hexdigest()
+        got.append((digest, str(measure_memory_epsilon(model, sol, 4))))
+    assert got == PHI_OPT_GOLDEN

@@ -371,6 +371,41 @@ class TestRuns:
             assert total == traj.cumulative_profit()
             assert final == traj.queue_at(traj.n_slots)
 
+    def test_shared_solver_equals_fresh_solver(self):
+        fee = CostFunction("fixed", fee=7)
+        spec = MarketSpec((StockSpec(0, 2, 300, fee, CostFunction()),
+                           StockSpec(1, 2, 200, CostFunction(), fee)),
+                          BudgetMode("money", money=350))
+        params = TraderParams(V=20)
+        markov = MarkovPriceModel(((100, 200), (250, 50), (150, 150)),
+                                  ((0.5, 0.3, 0.2), (0.1, 0.6, 0.3),
+                                   (0.4, 0.4, 0.2)))
+        shared = SlotSolver(spec, params)
+        for stream in range(4):
+            traj = run_backtest(spec, params, markov, 600, seed=5,
+                                stream=stream, solver=shared)
+            fresh = run_backtest(spec, params, markov, 600, seed=5,
+                                 stream=stream)
+            assert (traj.prices, traj.buys, traj.sells, traj.queues,
+                    traj.profits) == (fresh.prices, fresh.buys, fresh.sells,
+                                      fresh.queues, fresh.profits)
+            assert run_profit(spec, params, markov, 600, seed=5,
+                              stream=stream, solver=shared) \
+                == run_profit(spec, params, markov, 600, seed=5,
+                              stream=stream)
+        # Later streams replay pairs the first ones solved.
+        assert 0 < len(shared.memo) < 600
+
+    def test_mismatched_solver_rejected(self):
+        spec = one_stock_spec()
+        solver = SlotSolver(spec, TraderParams(V=50))
+        with pytest.raises(StructuralError, match="different"):
+            run_profit(spec, TraderParams(V=40), uniform_two_price(), 10,
+                       solver=solver)
+        with pytest.raises(StructuralError, match="different"):
+            run_backtest(one_stock_spec(mu_max=2), TraderParams(V=50),
+                         uniform_two_price(), 10, solver=solver)
+
     def test_short_trace_rejected(self):
         trace = PriceTrace(((100,), (100,)))
         with pytest.raises(StructuralError):
