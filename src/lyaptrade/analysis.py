@@ -12,8 +12,6 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-import numpy as np
-
 from .errors import StatisticalPowerError, StructuralError
 from .market import (MarketSpec, PortfolioState, TradeDecision, slot_profit,
                      validate_decision)
@@ -243,6 +241,7 @@ def verify_thm3(traj: Trajectory, psi_cents, M: int, window: int) -> BoundReport
 
 
 def _ensemble_mean(avgs):
+    import numpy as np
     arr = np.array([float(a) for a in avgs])
     mean = arr.mean()
     sigma = arr.std(ddof=1) / math.sqrt(len(arr)) if len(arr) > 1 else 0.0

@@ -14,7 +14,6 @@ import hashlib
 import json
 import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import replace
 from fractions import Fraction
 
@@ -173,6 +172,9 @@ def cmd_run(cfg: ExperimentConfig, out_dir, jobs: int) -> int:
                                cfg.horizon, cfg.seed, records)
     reps = range(cfg.replications)
     if jobs > 1:
+        from concurrent.futures import ProcessPoolExecutor
+        if cfg.source.kind != "trace":
+            import numpy  # noqa: F401  (once here, so forked workers inherit it)
         blocks = [reps[i::jobs] for i in range(min(jobs, len(reps)))]
         with ProcessPoolExecutor(max_workers=len(blocks)) as pool:
             results = sorted((item for block in pool.map(worker, blocks)
@@ -247,6 +249,7 @@ def cmd_oracle(cfg: ExperimentConfig, out_dir, jobs: int) -> int:
         frames = [source.sequence[m * T:(m + 1) * T] for m in range(M)]
         worker = functools.partial(lookahead_psi, spec)
         if jobs > 1:
+            from concurrent.futures import ProcessPoolExecutor
             with ProcessPoolExecutor(max_workers=jobs) as pool:
                 values = list(pool.map(worker, frames))
         else:

@@ -8,7 +8,6 @@ Money is integer cents throughout (see money.py).
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 
 from .errors import ConfigError, ParseError, StructuralError
@@ -232,12 +231,6 @@ class MarketSpec:
         elif self.budget.mode == "shares":
             out["budget"]["value"] = self.budget.shares
         return out
-
-    @staticmethod
-    def load(path) -> "MarketSpec":
-        with open(path) as fh:
-            doc = json.load(fh)
-        return MarketSpec.from_json(doc.get("market", doc))
 
 
 @dataclass(frozen=True)

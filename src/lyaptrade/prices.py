@@ -12,18 +12,21 @@ import csv
 from bisect import bisect_right
 from dataclasses import dataclass
 from decimal import Decimal, InvalidOperation
-from itertools import accumulate
-
-import numpy as np
+from itertools import accumulate, islice
+from typing import TYPE_CHECKING
 
 from .errors import ConfigError, ParseError, StructuralError
 from .market import MarketSpec
 from .money import _as_fraction, cents_to_str
 from .simplex import EQ, solve_lp
 
+if TYPE_CHECKING:
+    import numpy as np
+
 
 def make_rng(seed: int, stream: int = 0) -> np.random.Generator:
     """Counter-based generator; distinct streams are independent."""
+    import numpy as np
     return np.random.Generator(np.random.Philox(np.random.SeedSequence([int(seed), int(stream)])))
 
 
@@ -62,6 +65,7 @@ class PriceDistribution:
             spec.check_prices(vec)
 
     def float_probs(self) -> np.ndarray:
+        import numpy as np
         return np.array([float(p) for p in self.probs])
 
 
@@ -137,8 +141,8 @@ class PriceTrace:
     def __len__(self):
         return len(self.sequence)
 
-    def check_against(self, spec: MarketSpec):
-        for vec in self.sequence:
+    def check_against(self, spec: MarketSpec, horizon: int):
+        for vec in islice(self.sequence, horizon):
             spec.check_prices(vec)
 
 

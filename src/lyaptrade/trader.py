@@ -110,8 +110,8 @@ class SlotSolver:
     The slot objective is scaled by S = lcm(100 * den(V), den(theta_n)) so
     every comparison is between Python ints.  k = S*V/100 multiplies any
     cents quantity to form a scaled V*money term.  Decisions depend only
-    on (queue, prices), so `memo` keeps each pair's step for as long as
-    the solver lives, across every run given it.
+    on (queue, prices), so `memo` keeps each pair's step of an iid or
+    Markov run for as long as the solver lives, across every run given it.
     """
 
     def __init__(self, spec: MarketSpec, params: TraderParams):
@@ -476,7 +476,7 @@ def _price_sequence(spec, source, horizon, seed, stream):
         if len(source) < horizon:
             raise StructuralError(
                 f"trace has {len(source)} slots, horizon is {horizon}")
-        source.check_against(spec)
+        source.check_against(spec, horizon)
         return list(source.sequence[:horizon])
     rng = make_rng(seed, stream)
     if isinstance(source, PriceDistribution):
@@ -495,20 +495,24 @@ def _price_sequence(spec, source, horizon, seed, stream):
 def _slots(spec, params, solver, source, horizon, seed, stream):
     """Yield (prices, (sells, buys, profit, next queue)) for every slot,
     each distinct (queue, prices) pair solved once per solver (a fresh
-    one when solver is None)."""
+    one when solver is None); a trace's slots are solved with no memo."""
     seq = _price_sequence(spec, source, horizon, seed, stream)
     if solver is None:
         solver = SlotSolver(spec, params)
     elif solver.spec != spec or solver.params != params:
         raise StructuralError("solver was built for a different market "
                               "or trader parameters")
-    step, memo = solver.step, solver.memo
+    step = solver.step
+    memo = None if isinstance(source, PriceTrace) else solver.memo
     q = params.resolved_initial_queue(spec)
     for p in seq:
-        key = (q, p)
-        hit = memo.get(key)
-        if hit is None:
-            hit = memo[key] = step(p, q)
+        if memo is None:
+            hit = step(p, q)
+        else:
+            key = (q, p)
+            hit = memo.get(key)
+            if hit is None:
+                hit = memo[key] = step(p, q)
         yield p, hit
         q = hit[3]
 

@@ -406,6 +406,33 @@ class TestRuns:
             run_backtest(one_stock_spec(mu_max=2), TraderParams(V=50),
                          uniform_two_price(), 10, solver=solver)
 
+    def test_trace_leaves_shared_memo_empty(self, rng):
+        spec = random_small_spec(rng)
+        params = TraderParams(V=50)
+        trace = PriceTrace(tuple(
+            tuple(rng.randrange(0, s.p_max + 1) for s in spec.stocks)
+            for _ in range(500)))
+        shared = SlotSolver(spec, params)
+        for _ in range(2):
+            traj = run_backtest(spec, params, trace, 500, solver=shared)
+            fresh = run_backtest(spec, params, trace, 500)
+            assert (traj.buys, traj.sells, traj.queues, traj.profits) \
+                == (fresh.buys, fresh.sells, fresh.queues, fresh.profits)
+            assert run_profit(spec, params, trace, 500, solver=shared) \
+                == (fresh.cumulative_profit(), fresh.queue_at(500))
+        assert shared.memo == {}
+
+    def test_trace_checked_up_to_the_horizon(self):
+        spec = one_stock_spec()
+        early = PriceTrace(((100,), (201,), (100,)))
+        with pytest.raises(StructuralError,
+                           match="price 201 exceeds cap 200 for stock 0"):
+            run_backtest(spec, TraderParams(V=50), early, 2)
+        late = PriceTrace(((100,), (100,), (201,)))
+        assert run_backtest(spec, TraderParams(V=50), late, 2).n_slots == 2
+        with pytest.raises(StructuralError, match="exceeds cap"):
+            run_profit(spec, TraderParams(V=50), late, 3)
+
     def test_short_trace_rejected(self):
         trace = PriceTrace(((100,), (100,)))
         with pytest.raises(StructuralError):
