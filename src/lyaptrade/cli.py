@@ -22,7 +22,8 @@ from .analysis import (BoundReport, check_frame_drift, measure_memory_epsilon,
                        verify_queue_band, verify_slot_optimality,
                        verify_thm1_profit, verify_thm2_profit, verify_thm3,
                        FAIL, PASS)
-from .config import ExperimentConfig, config_to_json, load_config
+from .config import (ExperimentConfig, config_to_json, load_config,
+                     open_input)
 from .errors import (CapacityError, ConfigError, LyaptradeError, ParseError,
                      StatisticalPowerError, StructuralError)
 from .market import TradeDecision
@@ -165,6 +166,10 @@ def _exit_for(reports: dict) -> int:
 
 
 def cmd_run(cfg: ExperimentConfig, out_dir, jobs: int) -> int:
+    if cfg.source.kind == "trace" and cfg.replications > 1:
+        raise ConfigError("a trace replays the same prices from the same "
+                          "queue in every replication; set 1",
+                          location="/replications")
     source, spec, params = _resolved(cfg)
     records = bool(cfg.verify and set(cfg.verify) & set(DETERMINISTIC_CHECKS)) \
         or cfg.write_trajectories
@@ -273,7 +278,7 @@ def cmd_verify(cfg: ExperimentConfig, trajectory_path, out_dir) -> int:
     if not trajectory_path:
         raise ConfigError("verify needs --trajectory <csv>")
     _, spec, params = _resolved(cfg)
-    with open(trajectory_path) as fh:
+    with open_input(trajectory_path, "--trajectory") as fh:
         traj = Trajectory.from_csv(fh, spec, params)
     # The other checks assume the queue recursion holds, so a trajectory
     # that breaks it is reported as a dynamics failure alone.
@@ -319,11 +324,12 @@ def cmd_scaled(cfg: ExperimentConfig, out_dir) -> int:
 
 def cmd_trace_convert(cfg: ExperimentConfig, input_path, cap_policy,
                       out_dir) -> int:
+    location = "--input"
     if not input_path:
         if cfg.source.kind != "trace":
             raise ConfigError("trace-convert needs --input or a trace source")
-        input_path = cfg.source.path
-    with open(input_path) as fh:
+        input_path, location = cfg.source.path, "/source/path"
+    with open_input(input_path, location) as fh:
         trace, caps = load_trace(fh, cfg.market, cap_policy=cap_policy)
     body = {"trace": {"rows": len(trace),
                       "effective_caps": [cents_to_str(c) for c in caps]}}

@@ -40,7 +40,7 @@ class SourceConfig:
             return self.dist, spec
         if self.kind == "markov":
             return self.model, spec
-        with open(self.path) as fh:
+        with open_input(self.path, "/source/path") as fh:
             trace, caps = load_trace(fh, spec, cap_policy=self.cap_policy)
         return trace, spec.with_p_max(caps)
 
@@ -152,6 +152,16 @@ def _parse_trader(obj) -> TraderParams:
         return TraderParams(**kwargs)
     except (TypeError, ValueError) as exc:
         raise ConfigError(str(exc), location="/trader") from exc
+
+
+def open_input(path, location):
+    """open(path) for reading; a file that cannot be opened is a
+    ConfigError at `location`, the option or field that named it."""
+    try:
+        return open(path)
+    except OSError as exc:
+        raise ConfigError(f"cannot read {path!r}: {exc.strerror}",
+                          location=location) from exc
 
 
 def load_config(path) -> ExperimentConfig:

@@ -43,9 +43,9 @@ def _sell_options(spec, prices, queue=None):
 
 
 def _feasible(spec: MarketSpec, prices, queue, cap):
-    """Iterator over the feasible (buys, sells) tuples for checked prices,
-    buy vectors outermost; the size bound is checked against the cap
-    before anything is built."""
+    """(buy vectors, sell vectors) for checked prices; every pair of one
+    of each is feasible, and there are no other feasible pairs.  The size
+    bound is checked against the cap before anything is built."""
     cap = cap if cap is not None else capacity_cells(DEFAULT_ENUM_CAP)
     sell_opts = _sell_options(spec, prices, queue)
     buy_opts = [range(s.mu_max + 1) for s in spec.stocks]
@@ -61,8 +61,7 @@ def _feasible(spec: MarketSpec, prices, queue, cap):
                    if sum(a * p for a, p in zip(b, prices)) <= budget.money]
     elif budget.mode == "shares":
         buy_set = [b for b in buy_set if sum(b) <= budget.shares]
-    sell_set = list(itertools.product(*sell_opts))
-    return ((buys, sells) for buys in buy_set for sells in sell_set)
+    return buy_set, list(itertools.product(*sell_opts))
 
 
 def enumerate_actions(spec: MarketSpec, prices, queue=None,
@@ -73,9 +72,9 @@ def enumerate_actions(spec: MarketSpec, prices, queue=None,
     passing a queue additionally caps sells by current holdings.
     """
     prices = spec.check_prices(prices)
-    return ActionSet(prices, tuple(
-        TradeDecision(buys, sells)
-        for buys, sells in _feasible(spec, prices, queue, cap)))
+    buy_set, sell_set = _feasible(spec, prices, queue, cap)
+    return ActionSet(prices, tuple(TradeDecision(buys, sells)
+                                   for buys in buy_set for sells in sell_set))
 
 
 @dataclass(frozen=True)
@@ -296,11 +295,21 @@ def brute_force_slot_min(params: TraderParams, spec: MarketSpec,
     """Exhaustive minimizer of the per-slot trading objective over the
     full joint feasible set (ownership included); the independent oracle
     the per-slot optimality checks compare against.  Ties prefer the
-    smaller trade, then the lower stock index."""
+    smaller trade, then the lower stock index.
+
+    Every cost is 0 at 0 shares, so a pair's objective is that of its
+    sells with no buys plus that of its buys with no sells: each side is
+    scored once and every pair is compared by the sum."""
     prices = spec.check_prices(prices)
     score = SlotSolver(spec, params).scaled_objective
-    _, _, both = min((score(prices, queue, sells, buys),
-                      sum(sells) + sum(buys), sells + buys)
-                     for buys, sells in _feasible(spec, prices, queue, None))
+    buy_set, sell_set = _feasible(spec, prices, queue, None)
+    zero = (0,) * spec.n_stocks
+    sell_scores = [(score(prices, queue, sells, zero), sum(sells), sells)
+                   for sells in sell_set]
+    buy_scores = [(score(prices, queue, zero, buys), sum(buys), buys)
+                  for buys in buy_set]
+    _, _, both = min((vs + vb, ts + tb, sells + buys)
+                     for vb, tb, buys in buy_scores
+                     for vs, ts, sells in sell_scores)
     n = spec.n_stocks
     return TradeDecision(both[n:], both[:n])

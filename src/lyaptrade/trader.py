@@ -109,9 +109,12 @@ class SlotSolver:
 
     The slot objective is scaled by S = lcm(100 * den(V), den(theta_n)) so
     every comparison is between Python ints.  k = S*V/100 multiplies any
-    cents quantity to form a scaled V*money term.  Decisions depend only
-    on (queue, prices), so `memo` keeps each pair's step of an iid or
-    Markov run for as long as the solver lives, across every run given it.
+    cents quantity to form a scaled V*money term.  Only the purchase
+    budget couples the stocks, so `tables[n]` keeps stock n's entry per
+    (q_n, p_n) pair seen, at most p_max_n + 1 per queue value, for the buy
+    solver to combine.  Decisions depend only on (queue, prices), so
+    `memo` keeps each pair's step of an iid or Markov run for as long as
+    the solver lives, across every run given it.
     """
 
     def __init__(self, spec: MarketSpec, params: TraderParams):
@@ -135,6 +138,11 @@ class SlotSolver:
         self.budget = spec.budget
         self.cap = capacity_cells()
         self.memo: dict = {}
+        self.tables = tuple({} for _ in spec.stocks)
+        # A plain function: a bound method would make each solver a cycle.
+        self._pick = {"exact": SlotSolver._exact, "greedy": SlotSolver._greedy,
+                      "share_budget": SlotSolver._share_budget}[
+                          params.buy_solver]
         if params.buy_solver == "share_budget" and self.budget.mode != "shares":
             raise ConfigError("share_budget solver needs a share budget")
         if params.buy_solver == "exact" and self.budget.mode == "shares":
@@ -146,63 +154,86 @@ class SlotSolver:
                     raise ConfigError(
                         f"greedy solver needs concave buy costs (stock {s.index})")
 
-    # -- selling -----------------------------------------------------------
+    # -- per-stock tables --------------------------------------------------
 
-    def sell(self, prices, queue, enforce_ownership: bool = True) -> tuple:
-        S, k = self.scale, self.k
-        out = []
-        for n, (p, q) in enumerate(zip(prices, queue)):
-            c = self.thetaS[n] - S * q - k * p
-            table = self.sell_cost[n]
-            hi = self.mu_max[n]
-            if enforce_ownership and q < hi:
-                hi = q
-            best_mu, best = 0, 0
-            for m in range(1, hi + 1):
-                if m * p < table[m]:
-                    continue
-                val = c * m + k * table[m]
-                if val < best:
-                    best, best_mu = val, m
-            out.append(best_mu)
-        return tuple(out)
+    def _entries(self, prices, queue) -> list:
+        """Stock n's (sell quantity, buy coefficient, buy options) at
+        (queue[n], prices[n]), for every n, each computed once per solver."""
+        keys = list(zip(queue, prices))
+        out = list(map(dict.get, self.tables, keys))
+        if None in out:
+            out = [e or self._entry(n, key)
+                   for n, (e, key) in enumerate(zip(out, keys))]
+        return out
 
-    # -- buying ------------------------------------------------------------
-
-    def _buy_coeffs(self, prices, queue) -> list:
-        S, k = self.scale, self.k
-        return [S * q - self.thetaS[n] + k * p
-                for n, (p, q) in enumerate(zip(prices, queue))]
-
-    def _options(self, w, n) -> list:
-        """(a, w*a + k*cost(a)) for each quantity a of stock n whose term
-        is strictly below that of every smaller quantity.  Any other
-        quantity costs more and holds more shares for no gain, so no
-        lexicographic optimum uses it; the last entry is the per-stock
-        minimiser (lowest a on ties)."""
-        table = self.buy_cost[n]
+    def _entry(self, n, key) -> tuple:
+        """Store and return stock n's entry at key = (q, p).  The options
+        are (a, w*a + k*cost(a)) for each quantity a whose term is strictly
+        below that of every smaller quantity.  Any other quantity costs
+        more and holds more shares for no gain, so no lexicographic optimum
+        uses it; the last option is the per-stock minimiser (lowest a on
+        ties)."""
+        q, p = key
         k = self.k
-        out = [(0, 0)]
+        w = self.scale * q - self.thetaS[n] + k * p
+        table = self.buy_cost[n]
+        options = [(0, 0)]
         best = 0
         for a in range(1, self.mu_max[n] + 1):
             val = w * a + k * table[a]
             if val < best:
                 best = val
-                out.append((a, val))
-        return out
+                options.append((a, val))
+        mu = self._sell_qty(n, w, p, min(q, self.mu_max[n]))
+        entry = self.tables[n][key] = (mu, w, tuple(options))
+        return entry
+
+    def _sell_qty(self, n, w, p, hi) -> int:
+        """The m <= hi minimising k*cost(m) - w*m among the quantities whose
+        proceeds cover the fee, lowest m on ties."""
+        table, k = self.sell_cost[n], self.k
+        best_mu, best = 0, 0
+        for m in range(1, hi + 1):
+            if m * p < table[m]:
+                continue
+            val = k * table[m] - w * m
+            if val < best:
+                best, best_mu = val, m
+        return best_mu
+
+    # -- selling -----------------------------------------------------------
+
+    def sell(self, prices, queue, enforce_ownership: bool = True) -> tuple:
+        entries = self._entries(prices, queue)
+        if enforce_ownership:
+            return tuple([e[0] for e in entries])
+        return tuple(self._sell_qty(n, e[1], p, self.mu_max[n])
+                     for n, (e, p) in enumerate(zip(entries, prices)))
+
+    # -- buying ------------------------------------------------------------
+
+    def buy(self, prices, queue) -> tuple:
+        return self._pick(self, self._entries(prices, queue), prices)
 
     def buy_exact(self, prices, queue) -> tuple:
-        coeffs = self._buy_coeffs(prices, queue)
+        return self._exact(self._entries(prices, queue), prices)
+
+    def buy_greedy(self, prices, queue) -> tuple:
+        return self._greedy(self._entries(prices, queue), prices)
+
+    def buy_share_budget(self, prices, queue) -> tuple:
+        return self._share_budget(self._entries(prices, queue), prices)
+
+    def _exact(self, entries, prices) -> tuple:
         if self.budget.mode == "none":
-            return tuple(self._options(w, n)[-1][0]
-                         for n, w in enumerate(coeffs))
+            return tuple([e[2][-1][0] for e in entries])
         if self.budget.mode != "money":
             raise StructuralError("exact solver handles money or no budget")
-        return self._budget_dp(coeffs, prices, self.budget.money,
+        return self._budget_dp(entries, prices, self.budget.money,
                                "money-budget table",
                                "; consider the greedy solver")
 
-    def _budget_dp(self, coeffs, sizes, limit, what, hint="") -> tuple:
+    def _budget_dp(self, entries, sizes, limit, what, hint="") -> tuple:
         """Lexicographic minimum of (objective, total shares, buy vector)
         subject to sum_n sizes[n] * a_n <= limit.
 
@@ -211,14 +242,13 @@ class SlotSolver:
         objective uses a per-stock minimum in every stock, hence holds at
         least as many shares.  Otherwise a dict-keyed DP over the budget
         used runs on the undominated quantities of each stock only."""
-        options = [self._options(w, n) for n, w in enumerate(coeffs)]
-        best = tuple(opts[-1][0] for opts in options)
+        best = tuple([e[2][-1][0] for e in entries])
         if sum(a * z for a, z in zip(best, sizes)) <= limit:
             return best
         cap = self.cap
         work = 0
         dp = {0: (0, 0, ())}
-        for opts, z in zip(options, sizes):
+        for (_, _, opts), z in zip(entries, sizes):
             new: dict = {}
             for used, (obj, shares, vec) in dp.items():
                 for a, term in opts:
@@ -236,7 +266,7 @@ class SlotSolver:
             dp = new
         return min(dp.values())[2]
 
-    def buy_greedy(self, prices, queue) -> tuple:
+    def _greedy(self, entries, prices) -> tuple:
         """Budget-relaxed sequential fill: repeatedly take the share block
         with the most negative average objective per cent of price; may
         overshoot the money budget by at most one share.
@@ -258,7 +288,7 @@ class SlotSolver:
         if self.budget.mode == "shares":
             raise StructuralError("greedy solver relaxes a money budget")
         x = self.budget.money if self.budget.mode == "money" else None
-        coeffs = self._buy_coeffs(prices, queue)
+        coeffs = [e[1] for e in entries]
         k = self.k
         A = [0] * len(coeffs)
         spent = 0
@@ -303,19 +333,18 @@ class SlotSolver:
                         spent -= taken * prices[best_n]
                     return tuple(A)
 
-    def buy_share_budget(self, prices, queue) -> tuple:
-        coeffs = self._buy_coeffs(prices, queue)
+    def _share_budget(self, entries, prices) -> tuple:
         a_tot = self.budget.shares
         k = self.k
         if all(s.buy_cost.kind in ("zero", "linear") for s in self.spec.stocks):
             # Constant per-share weights: fill negative weights in
             # ascending order, lower index first on ties.
             weights = []
-            for n, w in enumerate(coeffs):
+            for n, (_, w, _) in enumerate(entries):
                 rate = self.spec.stocks[n].buy_cost.rate \
                     if self.spec.stocks[n].buy_cost.kind == "linear" else 0
                 weights.append((w + k * rate, n))
-            A = [0] * len(coeffs)
+            A = [0] * len(entries)
             remaining = a_tot
             for weight, n in sorted(w for w in weights if w[0] < 0):
                 take = min(self.mu_max[n], remaining)
@@ -324,23 +353,17 @@ class SlotSolver:
                 if remaining == 0:
                     break
             return tuple(A)
-        return self._budget_dp(coeffs, (1,) * len(coeffs), a_tot,
+        return self._budget_dp(entries, (1,) * len(entries), a_tot,
                                "share-budget table")
-
-    def buy(self, prices, queue) -> tuple:
-        if self.params.buy_solver == "greedy":
-            return self.buy_greedy(prices, queue)
-        if self.params.buy_solver == "share_budget":
-            return self.buy_share_budget(prices, queue)
-        return self.buy_exact(prices, queue)
 
     def step(self, prices, queue) -> tuple:
         """One slot of the policy: (sells, buys, profit cents, next queue),
         the queue advancing by Q <- max(Q - mu + A, 0)."""
-        sells = self.sell(prices, queue)
-        buys = self.buy(prices, queue)
-        nq = tuple(v - m + a if v - m + a > 0 else 0
-                   for v, m, a in zip(queue, sells, buys))
+        entries = self._entries(prices, queue)
+        sells = tuple([e[0] for e in entries])
+        buys = self._pick(self, entries, prices)
+        nq = tuple([v - m + a if v - m + a > 0 else 0
+                    for v, m, a in zip(queue, sells, buys)])
         return sells, buys, self.profit(prices, sells, buys), nq
 
     # -- objective bookkeeping (used by solvers' tests and verifiers) ------

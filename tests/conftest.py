@@ -48,6 +48,13 @@ def random_small_spec(rng: random.Random, max_stocks=3, max_mu=3,
     return MarketSpec(tuple(stocks), budget)
 
 
+def buy_coeffs(solver, prices, queue) -> list:
+    """The solver's buy coefficients S*q_n - S*theta_n + k*p_n, formed
+    here rather than read from its per-stock tables."""
+    return [solver.scale * q - solver.thetaS[n] + solver.k * p
+            for n, (p, q) in enumerate(zip(prices, queue))]
+
+
 def random_dist(rng: random.Random, spec: MarketSpec,
                 n_points=2) -> PriceDistribution:
     support = set()

@@ -18,9 +18,9 @@ from lyaptrade.oracles import brute_force_slot_min
 from lyaptrade.prices import stationary_distribution
 from lyaptrade.trader import SlotSolver
 
-from conftest import (adversarial_trace, one_stock_spec, params_for,
-                      random_dist, random_small_spec, random_trace,
-                      uniform_two_price)
+from conftest import (adversarial_trace, buy_coeffs, one_stock_spec,
+                      params_for, random_dist, random_small_spec,
+                      random_trace, uniform_two_price)
 from test_oracles import deterministic_phi_opt
 
 
@@ -169,7 +169,7 @@ def test_ac6_greedy_dominance_and_overshoot():
         solver = SlotSolver(spec, params)
         a_exact = solver.buy_exact(prices, queue)
         a_greedy = solver.buy_greedy(prices, queue)
-        coeffs = solver._buy_coeffs(prices, queue)
+        coeffs = buy_coeffs(solver, prices, queue)
 
         def obj(buys):
             return sum(w * a for w, a in zip(coeffs, buys)) \

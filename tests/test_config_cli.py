@@ -223,6 +223,29 @@ class TestRun:
         cfg = write_config(tmp_path, {"market": {}})
         assert main(["run", "--config", cfg]) == 5
 
+    def test_missing_trace_file_is_located(self, tmp_path, capsys):
+        doc = dict(BASE, source={"kind": "trace",
+                                 "path": str(tmp_path / "missing.csv")})
+        assert main(["run", "--config", write_config(tmp_path, doc)]) == 5
+        err = capsys.readouterr().err
+        assert err.startswith("config: /source/path: cannot read "), err
+        assert "missing.csv" in err and "Traceback" not in err
+
+    def test_trace_with_several_replications_rejected(self, tmp_path,
+                                                      capsys):
+        trace = tmp_path / "trace.csv"
+        trace.write_text("slot,p_1\n0,1.00\n1,2.00\n")
+        doc = dict(BASE, horizon=2, replications=3,
+                   source={"kind": "trace", "path": str(trace)})
+        cfg = write_config(tmp_path, doc)
+        assert main(["run", "--config", cfg]) == 5
+        err = capsys.readouterr().err
+        assert err.startswith("config: /replications: "), err
+        # The commands that ignore the field still accept it.
+        assert main(["trace-convert", "--config", cfg]) == 0
+        assert main(["run", "--config", write_config(
+            tmp_path, dict(doc, replications=1))]) == 0
+
     def test_trajectory_output(self, tmp_path):
         doc = dict(BASE, write_trajectories=True, horizon=10)
         cfg = write_config(tmp_path, doc)
@@ -306,6 +329,14 @@ class TestVerifySubcommand:
                      "--trajectory", str(traj_csv)]) == 5
         err = capsys.readouterr().err
         assert "row 2/mu_1" in err and "'1.5'" in err, err
+
+    def test_missing_trajectory_is_located(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, dict(BASE, verify=["queue_band"]))
+        assert main(["verify", "--config", cfg, "--trajectory",
+                     str(tmp_path / "missing.csv")]) == 5
+        err = capsys.readouterr().err
+        assert err.startswith("config: --trajectory: cannot read "), err
+        assert "Traceback" not in err
 
     def test_statistical_names_rejected(self, tmp_path):
         cfg = write_config(tmp_path, dict(BASE, verify=["thm1"]))
@@ -394,6 +425,19 @@ class TestTraceConvert:
         doc = dict(BASE, source={"kind": "trace", "path": str(trace)})
         assert main(["trace-convert", "--config", write_config(tmp_path, doc),
                      "--input", str(trace)]) == 5
+
+    def test_missing_input_is_located(self, tmp_path, capsys):
+        missing = str(tmp_path / "missing.csv")
+        doc = dict(BASE, source={"kind": "trace", "path": missing})
+        cfg = write_config(tmp_path, doc)
+        assert main(["trace-convert", "--config", cfg,
+                     "--input", missing]) == 5
+        err = capsys.readouterr().err
+        assert err.startswith("config: --input: cannot read "), err
+        assert main(["trace-convert", "--config", cfg]) == 5
+        err += capsys.readouterr().err
+        assert "config: /source/path: cannot read " in err, err
+        assert "Traceback" not in err
 
     def test_auto_expand(self, tmp_path, capsys):
         trace = tmp_path / "trace.csv"

@@ -12,6 +12,8 @@ from lyaptrade.analysis import check_one_slot_drift, verify_queue_band
 from lyaptrade.oracles import brute_force_slot_min, enumerate_actions
 from lyaptrade.trader import SlotSolver
 
+from conftest import buy_coeffs
+
 
 @st.composite
 def cost_functions(draw):
@@ -107,7 +109,7 @@ def test_greedy_never_worse_than_exact_and_overshoot_bounded(spec, data):
     a_greedy = greedy.buy_greedy(prices, queue)
 
     def buy_objective(buys):
-        coeff = exact._buy_coeffs(prices, queue)
+        coeff = buy_coeffs(exact, prices, queue)
         return sum(w * a for w, a in zip(coeff, buys)) \
             + exact.k * sum(s.buy_cost(a)
                             for s, a in zip(spec.stocks, buys))

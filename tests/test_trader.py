@@ -15,9 +15,10 @@ from lyaptrade import (BudgetMode, CostFunction, MarketSpec, MarkovPriceModel,
                        run_backtest, run_profit, scaled_windows_run,
                        startup_cost, validate_decision)
 from lyaptrade.errors import ConfigError, StructuralError
-from lyaptrade.trader import SlotSolver
+from lyaptrade.trader import SlotSolver, _slots
 
-from conftest import one_stock_spec, random_small_spec, uniform_two_price
+from conftest import (buy_coeffs, one_stock_spec, random_small_spec,
+                      uniform_two_price)
 
 
 class TestTheta:
@@ -98,7 +99,7 @@ class TestBuyExact:
             prices = tuple(rng.randrange(0, s.p_max + 1) for s in spec.stocks)
             queue = tuple(rng.randrange(0, 8) for _ in spec.stocks)
             got = solver.buy(prices, queue)
-            coeff = solver._buy_coeffs(prices, queue)
+            coeff = buy_coeffs(solver, prices, queue)
             best = min(
                 (sum(w * a for w, a in zip(coeff, d.buys))
                  + solver.k * sum(s.buy_cost(a) for s, a
@@ -126,7 +127,7 @@ class TestBuyExact:
                            else rng.randrange(0, s.p_max + 1)
                            for s in spec.stocks)
             queue = tuple(rng.randrange(0, 12) for _ in spec.stocks)
-            coeffs = solver._buy_coeffs(prices, queue)
+            coeffs = buy_coeffs(solver, prices, queue)
             free = _unconstrained_min(solver, coeffs)
             fits = sum(a * p for a, p in zip(free, prices)) \
                 <= spec.budget.money
@@ -265,7 +266,7 @@ class TestBuyShareBudget:
             prices = tuple(rng.randrange(0, 201) for _ in range(2))
             queue = tuple(rng.randrange(0, 8) for _ in range(2))
             got = solver.buy(prices, queue)
-            coeff = solver._buy_coeffs(prices, queue)
+            coeff = buy_coeffs(solver, prices, queue)
             best = min(
                 (sum(w * a for w, a in zip(coeff, d.buys))
                  + solver.k * sum(s.buy_cost(a) for s, a
@@ -293,7 +294,7 @@ class TestBuyShareBudget:
                            else rng.randrange(0, s.p_max + 1)
                            for s in spec.stocks)
             queue = tuple(rng.randrange(0, 12) for _ in spec.stocks)
-            coeffs = solver._buy_coeffs(prices, queue)
+            coeffs = buy_coeffs(solver, prices, queue)
             fits = sum(_unconstrained_min(solver, coeffs)) \
                 <= spec.budget.shares
             branches["slack" if fits else "dp"] += 1
@@ -421,6 +422,32 @@ class TestRuns:
             assert run_profit(spec, params, trace, 500, solver=shared) \
                 == (fresh.cumulative_profit(), fresh.queue_at(500))
         assert shared.memo == {}
+
+    def test_tables_hold_at_most_one_entry_per_price_and_queue(self):
+        rng = random.Random(2009)
+        spec = MarketSpec(
+            (StockSpec(0, 2, 300, CostFunction("fixed", fee=5),
+                       CostFunction("linear", rate=2)),
+             StockSpec(1, 3, 200, CostFunction("linear", rate=1),
+                       CostFunction("fixed", fee=4))),
+            BudgetMode("money", money=500))
+        params = TraderParams(V=20)
+        horizon = 200_000
+        trace = PriceTrace(tuple((rng.randrange(0, 301), rng.randrange(0, 201))
+                                 for _ in range(horizon)))
+        solver = SlotSolver(spec, params)
+        visited = [set() for _ in spec.stocks]
+        q = params.resolved_initial_queue(spec)
+        for _, (_, _, _, nq) in _slots(spec, params, solver, trace, horizon,
+                                       0, 0):
+            for seen, v in zip(visited, q):
+                seen.add(v)
+            q = nq
+        assert solver.memo == {}
+        for s, table, seen in zip(spec.stocks, solver.tables, visited):
+            assert {v for v, _ in table} == seen
+            assert all(0 <= p <= s.p_max for _, p in table)
+            assert len(table) <= (s.p_max + 1) * len(seen)
 
     def test_trace_checked_up_to_the_horizon(self):
         spec = one_stock_spec()
