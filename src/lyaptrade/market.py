@@ -1,5 +1,4 @@
-"""Static market description, per-slot feasibility, profit accounting and
-queue dynamics.
+"""Static market description, per-slot feasibility and profit accounting.
 
 Everything here is an immutable value; the operations are pure functions,
 so specs and states can be shared freely across parallel replications.
@@ -314,11 +313,3 @@ def slot_profit(spec: MarketSpec, prices, d: TradeDecision) -> int:
         total -= a * p + s.buy_cost(a)
     return total
 
-
-def apply_decision(state: PortfolioState, d: TradeDecision) -> PortfolioState:
-    """Advance the stock queues one slot.  Profit is posted separately."""
-    if len(d.buys) != len(state.queue):
-        raise StructuralError("decision dimensioned for a different portfolio")
-    queue = tuple(max(q - m + a, 0)
-                  for q, m, a in zip(state.queue, d.sells, d.buys))
-    return PortfolioState(queue, state.cumulative_profit, state.slot + 1)

@@ -112,9 +112,13 @@ class SlotSolver:
     cents quantity to form a scaled V*money term.  Only the purchase
     budget couples the stocks, so `tables[n]` keeps stock n's entry per
     (q_n, p_n) pair seen, at most p_max_n + 1 per queue value, for the buy
-    solver to combine.  Decisions depend only on (queue, prices), so
-    `memo` keeps each pair's step of an iid or Markov run for as long as
-    the solver lives, across every run given it.
+    solver to combine.  Decisions depend only on (queue, prices), so for
+    as long as the solver lives, across every run given it, `memo` maps
+    each price support of k vectors of an iid or Markov run to its walk
+    table (nodes, cells).  `nodes` numbers each queue vector on its first
+    visit and maps it to its row offset node * k in `cells`.  The cell at
+    offset + code holds (prices, step, successor offset) once the pair
+    (queue, support[code]) is solved, else None.
     """
 
     def __init__(self, spec: MarketSpec, params: TraderParams):
@@ -493,6 +497,8 @@ class Trajectory:
 
 
 def _price_sequence(spec, source, horizon, seed, stream):
+    """(None, prices) for a trace; (support, per-slot support indices)
+    for an iid or Markov source."""
     if horizon < 1:
         raise StructuralError("horizon must be at least 1")
     if isinstance(source, PriceTrace):
@@ -500,44 +506,61 @@ def _price_sequence(spec, source, horizon, seed, stream):
             raise StructuralError(
                 f"trace has {len(source)} slots, horizon is {horizon}")
         source.check_against(spec, horizon)
-        return list(source.sequence[:horizon])
+        return None, source.sequence[:horizon]
     rng = make_rng(seed, stream)
     if isinstance(source, PriceDistribution):
         source.check_against(spec)
-        idxs = sample_iid_indices(source, horizon, rng)
-        support = source.support
-        return [support[i] for i in idxs]
+        return source.support, sample_iid_indices(source, horizon, rng)
     if isinstance(source, MarkovPriceModel):
         source.check_against(spec)
-        states = markov_state_sequence(source, 0, horizon, rng)
-        emit = source.states
-        return [emit[s] for s in states]
+        return source.states, markov_state_sequence(source, 0, horizon, rng)
     raise StructuralError(f"unknown price source {type(source).__name__}")
 
 
 def _slots(spec, params, solver, source, horizon, seed, stream):
-    """Yield (prices, (sells, buys, profit, next queue)) for every slot,
-    each distinct (queue, prices) pair solved once per solver (a fresh
-    one when solver is None); a trace's slots are solved with no memo."""
-    seq = _price_sequence(spec, source, horizon, seed, stream)
+    """Yield (prices, (sells, buys, profit, next queue), successor) for
+    every slot, each distinct (queue, support index) pair solved once per
+    solver (a fresh one when solver is None) and its successor the next
+    queue's offset in the walk table; a trace's slots are solved with no
+    memo and a successor of None."""
+    support, seq = _price_sequence(spec, source, horizon, seed, stream)
     if solver is None:
         solver = SlotSolver(spec, params)
     elif solver.spec != spec or solver.params != params:
         raise StructuralError("solver was built for a different market "
                               "or trader parameters")
     step = solver.step
-    memo = None if isinstance(source, PriceTrace) else solver.memo
     q = params.resolved_initial_queue(spec)
-    for p in seq:
-        if memo is None:
+    if support is None:
+        for p in seq:
             hit = step(p, q)
-        else:
-            key = (q, p)
-            hit = memo.get(key)
-            if hit is None:
-                hit = memo[key] = step(p, q)
-        yield p, hit
-        q = hit[3]
+            yield p, hit, None
+            q = hit[3]
+        return
+    nodes, cells = solver.memo.setdefault(support, ({}, []))
+    k = len(support)
+
+    def row(queue):
+        base = nodes.get(queue)
+        if base is None:
+            base = nodes[queue] = len(nodes) * k
+            if base == len(cells):
+                # Doubling: a long list grown a row at a time is copied
+                # often enough to slow the solver down.
+                cells.extend([None] * max(k, base))
+        return base
+
+    # The cell whose step reached the current queue; at the start, a
+    # stand-in holding the initial queue.
+    last = (None, (None, None, None, q), row(q))
+    for code in seq:
+        cell = cells[last[2] + code]
+        if cell is None:
+            p = support[code]
+            hit = step(p, last[1][3])
+            cell = cells[last[2] + code] = (p, hit, row(hit[3]))
+        yield cell
+        last = cell
 
 
 def run_backtest(spec: MarketSpec, params: TraderParams, source,
@@ -549,8 +572,9 @@ def run_backtest(spec: MarketSpec, params: TraderParams, source,
     ap, ab, as_, aq, apr = (traj.prices.append, traj.buys.append,
                             traj.sells.append, traj.queues.append,
                             traj.profits.append)
-    for p, (sells, buys, profit, nq) in _slots(spec, params, solver, source,
-                                              horizon, seed, stream):
+    for p, (sells, buys, profit, nq), _ in _slots(spec, params, solver,
+                                                 source, horizon, seed,
+                                                 stream):
         ap(p); ab(buys); as_(sells); aq(nq); apr(profit)
     return traj
 
@@ -560,8 +584,8 @@ def run_profit(spec: MarketSpec, params: TraderParams, source,
                solver: SlotSolver | None = None):
     """Light-weight run: (total profit cents, final queue), no records."""
     total = 0
-    for _, (_, _, profit, q) in _slots(spec, params, solver, source,
-                                       horizon, seed, stream):
+    for _, (_, _, profit, q), _ in _slots(spec, params, solver, source,
+                                          horizon, seed, stream):
         total += profit
     return total, q
 

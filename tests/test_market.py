@@ -5,11 +5,12 @@ import json
 import pytest
 
 from lyaptrade import (BudgetMode, CostFunction, MarketSpec, PortfolioState,
-                       StockSpec, TradeDecision, apply_decision, cents_to_str,
-                       cents_to_units, slot_profit, to_cents,
+                       StockSpec, TradeDecision, TraderParams, Trajectory,
+                       cents_to_str, cents_to_units, slot_profit, to_cents,
                        validate_decision)
 from lyaptrade.errors import ConfigError, ParseError, StructuralError
 from lyaptrade.market import BUDGET, OWNERSHIP, SELL_FEE_COVER
+from lyaptrade.trader import SlotSolver
 
 from conftest import one_stock_spec
 
@@ -148,19 +149,33 @@ class TestSlotProfit:
         assert slot_profit(spec, (250, 120), d) == per_stock
 
 
-class TestApplyDecision:
+class TestQueueDynamics:
+    """Q <- max(Q - mu + A, 0), as Trajectory.check_dynamics checks it and
+    SlotSolver.step applies it."""
+
+    @staticmethod
+    def check(queue, buys, sells, after):
+        spec = MarketSpec(tuple(StockSpec(i, 3, 200)
+                                for i in range(len(queue))))
+        traj = Trajectory(spec, TraderParams(V=50), queue,
+                          prices=[(100,) * len(queue)], buys=[buys],
+                          sells=[sells], queues=[after], profits=[0])
+        traj.check_dynamics()
+
     def test_arithmetic(self):
-        out = apply_decision(PortfolioState((5,)), TradeDecision((1,), (2,)))
-        assert out.queue == (4,) and out.slot == 1
+        self.check((5,), (1,), (2,), (4,))
+        with pytest.raises(StructuralError, match="slot 0"):
+            self.check((5,), (1,), (2,), (6,))
 
     def test_clamp_at_zero(self):
-        out = apply_decision(PortfolioState((0,)), TradeDecision((0,), (1,)))
-        assert out.queue == (0,)
+        self.check((0,), (0,), (1,), (0,))
+        with pytest.raises(StructuralError):
+            self.check((0,), (0,), (1,), (-1,))
 
     def test_per_stock(self):
-        out = apply_decision(PortfolioState((1, 1)),
-                             TradeDecision((0, 1), (1, 0)))
-        assert out.queue == (0, 2)
+        self.check((1, 1), (0, 1), (1, 0), (0, 2))
+        with pytest.raises(StructuralError):
+            self.check((1, 1), (0, 1), (1, 0), (2, 0))
 
     def test_clamp_redundant_for_owned_sales(self):
         spec = one_stock_spec(mu_max=3)
@@ -168,6 +183,17 @@ class TestApplyDecision:
         d = TradeDecision((0,), (2,))
         assert validate_decision(spec, (100,), state, d).ok
         assert state.queue[0] - d.sells[0] + d.buys[0] >= 0
+        # The policy sells only what it holds, so its step never clamps.
+        solver = SlotSolver(spec, TraderParams(V=1, theta=(0,)))
+        sold = 0
+        for q in range(6):
+            for p in (0, 50, 200):
+                sells, buys, _, after = solver.step((p,), (q,))
+                assert sells[0] <= q
+                assert after == (q - sells[0] + buys[0],)
+                self.check((q,), buys, sells, after)
+                sold += sells[0] > 0
+        assert sold
 
 
 class TestJson:

@@ -395,7 +395,10 @@ class TestRuns:
                 == run_profit(spec, params, markov, 600, seed=5,
                               stream=stream)
         # Later streams replay pairs the first ones solved.
-        assert 0 < len(shared.memo) < 600
+        assert list(shared.memo) == [markov.states]
+        _, cells = shared.memo[markov.states]
+        solved = sum(c is not None for c in cells)
+        assert 0 < solved < 600
 
     def test_mismatched_solver_rejected(self):
         spec = one_stock_spec()
@@ -438,8 +441,8 @@ class TestRuns:
         solver = SlotSolver(spec, params)
         visited = [set() for _ in spec.stocks]
         q = params.resolved_initial_queue(spec)
-        for _, (_, _, _, nq) in _slots(spec, params, solver, trace, horizon,
-                                       0, 0):
+        for _, (_, _, _, nq), _ in _slots(spec, params, solver, trace,
+                                          horizon, 0, 0):
             for seen, v in zip(visited, q):
                 seen.add(v)
             q = nq
