@@ -113,6 +113,10 @@ def _deterministic_checks(cfg, spec, params, traj: Trajectory, rep: int):
         elif name == "thm3":
             T = int(cfg.options.get("window", 4))
             M = traj.n_slots // T
+            if M == 0:
+                raise ConfigError(
+                    f"thm3 needs at least one frame of {T} slots, but the "
+                    f"trajectory has {traj.n_slots}", location="/options/window")
             psi = [lookahead_psi(spec, traj.prices[m * T:(m + 1) * T]).psi_cents
                    for m in range(M)]
             reports[name] = verify_thm3(traj, psi, M, T)

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 
 from .errors import CapacityError, StructuralError
@@ -218,45 +218,34 @@ class LookaheadResult:
         return cents_to_units(self.psi_cents)
 
 
-def lookahead_psi(spec: MarketSpec, window) -> LookaheadResult:
-    """Exact maximum frame profit with perfect knowledge of the window's
-    prices, allowing intra-frame short selling as long as every stock's
-    net purchases over the frame are non-negative.
-
-    Dynamic programming over (slot, running net-share vector): the best
-    suffix profit depends only on those two.  Stock n's net stays within
-    +-T*mu_n, so a frame has at most T * prod(2*T*mu_n + 1) states; that
-    bound is checked against the cap before any action is enumerated.
-    Each slot's actions are sorted by descending profit and only the
-    first action per net delta is kept, so ties resolve to the
-    lexicographically first optimal sequence in that order.  A frame
-    whose best profit is not positive yields 0 and all-zero decisions.
-    """
-    window = [spec.check_prices(p) for p in window]
+def _frame_dp(spec: MarketSpec, window) -> tuple:
+    """(best profit, one (buys, sells) per slot) over a frame of checked
+    prices.  Keeping each slot's first action per net delta in descending
+    profit order makes ties resolve to the lex-first optimal sequence."""
     T = len(window)
-    if T < 1:
-        raise StructuralError("lookahead window must have at least one slot")
     # Net vectors are packed into one integer, digit n holding
     # net_n + T*mu_n in radix 2*T*mu_n + 1; deltas then add as integers.
     offsets = [T * s.mu_max for s in spec.stocks]
     radix = [2 * o + 1 for o in offsets]
-    states = T * math.prod(radix)
-    cap = capacity_cells(DEFAULT_SEARCH_CAP)
-    if states > cap:
-        raise CapacityError(
-            f"lookahead frame needs up to {states} states, over the cap "
-            f"of {cap}; use a smaller frame")
     strides = [math.prod(radix[:n]) for n in range(len(radix))]
     steps = []
     for p in window:
-        scored = sorted(((slot_profit(spec, p, d), d)
-                         for d in enumerate_actions(spec, p).actions),
-                        key=lambda t: -t[0])
+        # Every cost is 0 at 0 shares, so an action's profit and delta are
+        # its buy side's plus its sell side's: each side is scored once.
+        buy_set, sell_set = _feasible(spec, p, None, None)
+        buys = [(-sum(a * q + s.buy_cost(a)
+                      for s, q, a in zip(spec.stocks, p, b)),
+                 sum(a * w for a, w in zip(b, strides)), b) for b in buy_set]
+        sells = [(sum(m * q - s.sell_cost(m)
+                      for s, q, m in zip(spec.stocks, p, v)),
+                  -sum(m * w for m, w in zip(v, strides)), v)
+                 for v in sell_set]
         kept = {}
-        for gain, d in scored:
-            delta = sum((a - m) * w
-                        for a, m, w in zip(d.buys, d.sells, strides))
-            kept.setdefault(delta, (gain, delta, d))
+        for gain, delta, action in sorted(
+                ((bg + sg, bd + sd, (b, v))
+                 for bg, bd, b in buys for sg, sd, v in sells),
+                key=lambda t: -t[0]):
+            kept.setdefault(delta, (gain, delta, action))
         steps.append(tuple(kept.values()))
     origin = sum(o * w for o, w in zip(offsets, strides))
     reach = [{origin}]
@@ -274,20 +263,56 @@ def lookahead_psi(spec: MarketSpec, window) -> LookaheadResult:
             if gains:
                 cur[c] = max(gains)
         values[t] = cur
-    psi = values[0][origin]
-    if psi <= 0:
-        return LookaheadResult(
-            0, tuple(TradeDecision.zero(spec.n_stocks) for _ in range(T)))
-    decisions = []
+    path = []
     c = origin
     for t in range(T):
         nxt = values[t + 1]
-        for gain, delta, d in steps[t]:
+        for gain, delta, action in steps[t]:
             if c + delta in nxt and gain + nxt[c + delta] == values[t][c]:
                 break
-        decisions.append(d)
+        path.append(action)
         c += delta
-    return LookaheadResult(psi, tuple(decisions))
+    return values[0][origin], path
+
+
+def lookahead_psi(spec: MarketSpec, window) -> LookaheadResult:
+    """Exact maximum frame profit with perfect knowledge of the window's
+    prices, allowing intra-frame short selling as long as every stock's
+    net purchases over the frame are non-negative.
+
+    Dynamic programming over (slot, net-share vector), stock n's net
+    staying within +-T*mu_n.  A money or share budget couples the stocks
+    into one DP of T * prod(2*T*mu_n + 1) states.  With no budget psi is
+    a sum of one-stock DPs of T*(2*T*mu_n + 1) states each, whose
+    lex-first decisions make the joint one.  The total is checked against
+    the cap before any action is enumerated.  A frame whose best profit
+    is not positive yields 0 and all-zero decisions.
+    """
+    window = [spec.check_prices(p) for p in window]
+    T = len(window)
+    if T < 1:
+        raise StructuralError("lookahead window must have at least one slot")
+    groups = [(spec, range(spec.n_stocks))]
+    if spec.budget.mode == "none":
+        groups = [(MarketSpec((replace(s, index=0),)), (s.index,))
+                  for s in spec.stocks]
+    states = sum(T * math.prod(2 * T * s.mu_max + 1 for s in g.stocks)
+                 for g, _ in groups)
+    cap = capacity_cells(DEFAULT_SEARCH_CAP)
+    if states > cap:
+        raise CapacityError(
+            f"lookahead frame needs up to {states} states, over the cap "
+            f"of {cap}; use a smaller frame")
+    solved = [_frame_dp(g, [tuple(p[i] for i in cols) for p in window])
+              for g, cols in groups]
+    psi = sum(value for value, _ in solved)
+    if psi <= 0:
+        return LookaheadResult(
+            0, tuple(TradeDecision.zero(spec.n_stocks) for _ in range(T)))
+    # Groups are in stock order: each slot's group pairs join side by side.
+    return LookaheadResult(psi, tuple(
+        TradeDecision(*(sum(side, ()) for side in zip(*slot)))
+        for slot in zip(*(path for _, path in solved))))
 
 
 def brute_force_slot_min(params: TraderParams, spec: MarketSpec,

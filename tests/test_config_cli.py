@@ -496,6 +496,17 @@ class TestCapacityCells:
         with pytest.raises(CapacityError, match="36 states.*cap of 4"):
             lookahead_psi(spec, window)
 
+    def test_no_budget_lookahead_sums_its_stocks(self, monkeypatch):
+        # Without a budget each stock is its own DP of 4 * 9 states; the
+        # check covers their sum, 72, not the joint 4 * 9**2.
+        spec = MarketSpec((StockSpec(0, 1, 200), StockSpec(1, 1, 200)))
+        window = [(100, 100), (200, 200), (100, 100), (200, 200)]
+        monkeypatch.setenv("LYAPTRADE_CAPACITY_CELLS", "72")
+        assert lookahead_psi(spec, window).psi_cents == 400
+        monkeypatch.setenv("LYAPTRADE_CAPACITY_CELLS", "71")
+        with pytest.raises(CapacityError, match="72 states.*cap of 71"):
+            lookahead_psi(spec, window)
+
     @pytest.mark.parametrize("value", ["1e6", "0"])
     def test_bad_value_is_a_config_error(self, tmp_path, monkeypatch, capsys,
                                          value):
@@ -529,3 +540,33 @@ class TestThm3:
         reports = read_summary(tmp_path)["reports"]
         assert set(reports) == {"dynamics", "queue_band", "thm3"}
         assert all(r["verdict"] == "pass" for r in reports.values()), reports
+
+    @staticmethod
+    def _short_trace_config(tmp_path):
+        trace = tmp_path / "trace.csv"
+        trace.write_text("slot,p_1\n0,1.00\n1,2.00\n2,1.00\n")
+        return write_config(tmp_path, dict(
+            BASE, horizon=3, source={"kind": "trace", "path": str(trace)},
+            verify=["dynamics", "thm3"], options={"window": 4}))
+
+    def test_run_shorter_than_a_window_is_located(self, tmp_path, capsys):
+        cfg = self._short_trace_config(tmp_path)
+        assert main(["run", "--config", cfg]) == 5
+        err = capsys.readouterr().err
+        assert "/options/window" in err and "4 slots" in err \
+            and "has 3" in err, err
+
+    def test_verify_shorter_than_a_window_is_located(self, tmp_path, capsys):
+        cfg = self._short_trace_config(tmp_path)
+        doc = json.loads(open(cfg).read())
+        doc["verify"] = ["dynamics"]
+        doc["write_trajectories"] = True
+        run_cfg = write_config(tmp_path, doc, name="run.json")
+        assert main(["run", "--config", run_cfg,
+                     "--out", str(tmp_path / "out")]) == 0
+        capsys.readouterr()
+        assert main(["verify", "--config", cfg, "--trajectory",
+                     str(tmp_path / "out" / "trajectory_0.csv")]) == 5
+        err = capsys.readouterr().err
+        assert "/options/window" in err and "4 slots" in err \
+            and "has 3" in err, err

@@ -220,13 +220,29 @@ class TestLookahead:
                                                     list(trace.sequence))
 
     def test_state_bound_checked_before_enumeration(self, monkeypatch):
-        spec = MarketSpec(tuple(StockSpec(i, 3, 200) for i in range(3)))
+        # A budget couples the stocks into one DP over the joint nets.
+        spec = MarketSpec(tuple(StockSpec(i, 3, 200) for i in range(3)),
+                          BudgetMode("money", money=1000))
 
         def fail(*args, **kwargs):
             raise AssertionError("actions enumerated before the state check")
-        monkeypatch.setattr(oracles, "enumerate_actions", fail)
+        monkeypatch.setattr(oracles, "_feasible", fail)
         with pytest.raises(CapacityError, match=f"{50 * 301 ** 3} states"):
             lookahead_psi(spec, [(100, 100, 100)] * 50)
+
+    def test_no_budget_frame_is_a_sum_of_one_stock_frames(self, rng):
+        # Joint, this frame needs 8 * 49**5 states, far over the cap.
+        spec = MarketSpec(tuple(StockSpec(i, 3, 200) for i in range(5)))
+        window = [tuple(rng.randrange(0, 201) for _ in range(5))
+                  for _ in range(8)]
+        res = lookahead_psi(spec, window)
+        parts = [lookahead_psi(MarketSpec((StockSpec(0, 3, 200),)),
+                               [(p[i],) for p in window])
+                 for i in range(5)]
+        assert res.psi_cents == sum(r.psi_cents for r in parts) > 0
+        for t, d in enumerate(res.decisions):
+            assert d.buys == tuple(r.decisions[t].buys[0] for r in parts)
+            assert d.sells == tuple(r.decisions[t].sells[0] for r in parts)
 
     def test_superadditive_over_frames(self, rng):
         for _ in range(10):
