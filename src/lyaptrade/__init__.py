@@ -12,8 +12,7 @@ from .errors import (CapacityError, ConfigError, LyaptradeError,
                      NumericalError, ParseError, StatisticalPowerError,
                      StructuralError)
 from .market import (BudgetMode, CostFunction, Feasibility, MarketSpec,
-                     PortfolioState, StockSpec, TradeDecision, slot_profit,
-                     validate_decision)
+                     StockSpec, TradeDecision, slot_profit, validate_decision)
 from .money import cents_to_str, cents_to_units, to_cents
 from .oracles import (LookaheadResult, PonlyPolicy, PonlySolution,
                       brute_force_slot_min, drift_rebalance,

@@ -13,8 +13,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .errors import StatisticalPowerError, StructuralError
-from .market import (MarketSpec, PortfolioState, TradeDecision, slot_profit,
-                     validate_decision)
+from .market import MarketSpec, TradeDecision, slot_profit, validate_decision
 from .money import _as_fraction, cents_to_units
 from .trader import SlotSolver, TraderParams, Trajectory
 
@@ -146,8 +145,7 @@ def verify_queue_band(traj: Trajectory) -> BoundReport:
 
 def _check_alternative(spec, prices, d: TradeDecision):
     # Virtual alternatives skip the ownership constraint.
-    verdict = validate_decision(spec, prices, PortfolioState((0,) * spec.n_stocks),
-                                d, enforce_ownership=False)
+    verdict = validate_decision(spec, prices, None, d)
     if not verdict.ok:
         raise StructuralError(f"infeasible alternative: {verdict.violations}")
 

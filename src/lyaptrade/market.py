@@ -134,6 +134,15 @@ class StockSpec:
                     f"table cost needs exactly {self.mu_max + 1} entries")
             side.max_over(self.mu_max)  # validates the declared bound
 
+    def proceeds(self, m: int, p: int) -> int:
+        """Cents from selling m shares at p net of the sell fee; a sale is
+        allowed only when this is non-negative (the fee cover)."""
+        return m * p - self.sell_cost(m)
+
+    def outlay(self, a: int, p: int) -> int:
+        """Cents paid for buying a shares at p, fee included."""
+        return a * p + self.buy_cost(a)
+
 
 @dataclass(frozen=True)
 class BudgetMode:
@@ -251,43 +260,34 @@ class TradeDecision:
 
 
 @dataclass(frozen=True)
-class PortfolioState:
-    """Integer stock queue, profit ledger (cents), slot counter."""
-
-    queue: tuple
-    cumulative_profit: int = 0
-    slot: int = 0
-
-    def __post_init__(self):
-        q = tuple(int(v) for v in self.queue)
-        if any(v < 0 for v in q):
-            raise StructuralError("queue entries must be non-negative")
-        object.__setattr__(self, "queue", q)
-
-
-@dataclass(frozen=True)
 class Feasibility:
     ok: bool
     violations: tuple = ()
 
 
-def validate_decision(spec: MarketSpec, prices, state: PortfolioState,
-                      d: TradeDecision, enforce_ownership: bool = True) -> Feasibility:
+def validate_decision(spec: MarketSpec, prices, queue,
+                      d: TradeDecision) -> Feasibility:
     """Check a decision against the per-slot trading constraints.
 
-    Ownership (sells bounded by holdings) is only checked when
-    enforce_ownership is set; virtual price-only policies skip it.
+    queue holds the shares owned per stock, which bound the sells; None
+    skips the ownership check, as virtual price-only policies do.
     """
     prices = spec.check_prices(prices)
     if len(d.buys) != spec.n_stocks:
         raise StructuralError("decision dimensioned for a different market")
+    if queue is not None:
+        if len(queue) != spec.n_stocks:
+            raise StructuralError(
+                f"queue has {len(queue)} entries, expected {spec.n_stocks}")
+        if any(v < 0 for v in queue):
+            raise StructuralError("queue entries must be non-negative")
     violations = []
-    for s, p, a, m, q in zip(spec.stocks, prices, d.buys, d.sells, state.queue):
+    for s, p, a, m in zip(spec.stocks, prices, d.buys, d.sells):
         if not 0 <= m <= s.mu_max:
             violations.append((SELL_LIMIT, s.index))
-        elif m > 0 and m * p < s.sell_cost(m):
+        elif s.proceeds(m, p) < 0:
             violations.append((SELL_FEE_COVER, s.index))
-        if enforce_ownership and m > q:
+        if queue is not None and m > queue[s.index]:
             violations.append((OWNERSHIP, s.index))
         if not 0 <= a <= s.mu_max:
             violations.append((BUY_LIMIT, s.index))
@@ -307,9 +307,6 @@ def slot_profit(spec: MarketSpec, prices, d: TradeDecision) -> int:
     prices = spec.check_prices(prices)
     if len(d.buys) != spec.n_stocks:
         raise StructuralError("decision dimensioned for a different market")
-    total = 0
-    for s, p, a, m in zip(spec.stocks, prices, d.buys, d.sells):
-        total += m * p - s.sell_cost(m)
-        total -= a * p + s.buy_cost(a)
-    return total
+    return sum(s.proceeds(m, p) - s.outlay(a, p)
+               for s, p, a, m in zip(spec.stocks, prices, d.buys, d.sells))
 

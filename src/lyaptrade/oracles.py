@@ -32,22 +32,16 @@ class ActionSet:
     actions: tuple  # of TradeDecision
 
 
-def _sell_options(spec, prices, queue=None):
-    opts = []
-    for n, s in enumerate(spec.stocks):
-        p = prices[n]
-        hi = s.mu_max if queue is None else min(s.mu_max, queue[n])
-        opts.append([m for m in range(hi + 1)
-                     if m == 0 or m * p >= s.sell_cost(m)])
-    return opts
-
-
-def _feasible(spec: MarketSpec, prices, queue, cap):
+def _feasible(spec: MarketSpec, prices, queue):
     """(buy vectors, sell vectors) for checked prices; every pair of one
     of each is feasible, and there are no other feasible pairs.  The size
     bound is checked against the cap before anything is built."""
-    cap = cap if cap is not None else capacity_cells(DEFAULT_ENUM_CAP)
-    sell_opts = _sell_options(spec, prices, queue)
+    cap = capacity_cells(DEFAULT_ENUM_CAP)
+    sell_opts = []
+    for n, s in enumerate(spec.stocks):
+        hi = s.mu_max if queue is None else min(s.mu_max, queue[n])
+        sell_opts.append([m for m in range(hi + 1)
+                          if s.proceeds(m, prices[n]) >= 0])
     buy_opts = [range(s.mu_max + 1) for s in spec.stocks]
     bound = 1
     for so, bo in zip(sell_opts, buy_opts):
@@ -64,15 +58,14 @@ def _feasible(spec: MarketSpec, prices, queue, cap):
     return buy_set, list(itertools.product(*sell_opts))
 
 
-def enumerate_actions(spec: MarketSpec, prices, queue=None,
-                      cap: int | None = None) -> ActionSet:
+def enumerate_actions(spec: MarketSpec, prices, queue=None) -> ActionSet:
     """Complete feasible action enumeration for one price vector.
 
     queue=None gives the virtual-policy set (no ownership constraint);
     passing a queue additionally caps sells by current holdings.
     """
     prices = spec.check_prices(prices)
-    buy_set, sell_set = _feasible(spec, prices, queue, cap)
+    buy_set, sell_set = _feasible(spec, prices, queue)
     return ActionSet(prices, tuple(TradeDecision(buys, sells)
                                    for buys in buy_set for sells in sell_set))
 
@@ -212,11 +205,6 @@ class LookaheadResult:
     psi_cents: int
     decisions: tuple  # length-T TradeDecision sequence
 
-    @property
-    def psi(self) -> Fraction:
-        """Optimal frame profit in dollars."""
-        return cents_to_units(self.psi_cents)
-
 
 def _frame_dp(spec: MarketSpec, window) -> tuple:
     """(best profit, one (buys, sells) per slot) over a frame of checked
@@ -232,12 +220,10 @@ def _frame_dp(spec: MarketSpec, window) -> tuple:
     for p in window:
         # Every cost is 0 at 0 shares, so an action's profit and delta are
         # its buy side's plus its sell side's: each side is scored once.
-        buy_set, sell_set = _feasible(spec, p, None, None)
-        buys = [(-sum(a * q + s.buy_cost(a)
-                      for s, q, a in zip(spec.stocks, p, b)),
+        buy_set, sell_set = _feasible(spec, p, None)
+        buys = [(-sum(s.outlay(a, q) for s, q, a in zip(spec.stocks, p, b)),
                  sum(a * w for a, w in zip(b, strides)), b) for b in buy_set]
-        sells = [(sum(m * q - s.sell_cost(m)
-                      for s, q, m in zip(spec.stocks, p, v)),
+        sells = [(sum(s.proceeds(m, q) for s, q, m in zip(spec.stocks, p, v)),
                   -sum(m * w for m, w in zip(v, strides)), v)
                  for v in sell_set]
         kept = {}
@@ -327,7 +313,7 @@ def brute_force_slot_min(params: TraderParams, spec: MarketSpec,
     scored once and every pair is compared by the sum."""
     prices = spec.check_prices(prices)
     score = SlotSolver(spec, params).scaled_objective
-    buy_set, sell_set = _feasible(spec, prices, queue, None)
+    buy_set, sell_set = _feasible(spec, prices, queue)
     zero = (0,) * spec.n_stocks
     sell_scores = [(score(prices, queue, sells, zero), sum(sells), sells)
                    for sells in sell_set]

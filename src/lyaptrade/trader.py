@@ -1,11 +1,13 @@
 """The per-slot queue-driven trading policy.
 
 Selling and buying each minimize a queue-weighted objective every slot:
-sell side per stock, buy side jointly under the purchase budget.  The
-three buy solvers (exact DP, greedy relaxation, share-budget fill) are
-interchangeable.  All objective comparisons are done in scaled integer
-arithmetic so trajectories are exactly reproducible and the downstream
-bound verifiers can use zero tolerance.
+sell side per stock, buy side jointly under the purchase budget.  Each
+of the three buy solvers accepts only some budget modes: the exact DP
+takes a money budget or none, the greedy relaxation a money budget or
+none (with concave buy costs), and the share-budget fill a share budget
+only.  All objective comparisons are done in scaled integer arithmetic
+so trajectories are exactly reproducible and the downstream bound
+verifiers can use zero tolerance.
 
 Unit convention: prices and costs are integer cents; the aggressiveness
 parameter V is per dollar.  Every V*price product is formed as
@@ -147,11 +149,16 @@ class SlotSolver:
         self._pick = {"exact": SlotSolver._exact, "greedy": SlotSolver._greedy,
                       "share_budget": SlotSolver._share_budget}[
                           params.buy_solver]
+        where = "/trader/buy_solver"
         if params.buy_solver == "share_budget" and self.budget.mode != "shares":
-            raise ConfigError("share_budget solver needs a share budget")
+            raise ConfigError("share_budget solver needs a share budget",
+                              location=where)
         if params.buy_solver == "exact" and self.budget.mode == "shares":
             raise ConfigError("exact solver handles money or no budget; "
-                              "use the share_budget solver")
+                              "use the share_budget solver", location=where)
+        if params.buy_solver == "greedy" and self.budget.mode == "shares":
+            raise ConfigError("greedy solver relaxes a money budget; "
+                              "use the share_budget solver", location=where)
         if params.buy_solver == "greedy":
             for s in spec.stocks:
                 if not s.buy_cost.is_concave(s.mu_max):
@@ -195,10 +202,10 @@ class SlotSolver:
     def _sell_qty(self, n, w, p, hi) -> int:
         """The m <= hi minimising k*cost(m) - w*m among the quantities whose
         proceeds cover the fee, lowest m on ties."""
-        table, k = self.sell_cost[n], self.k
+        stock, table, k = self.spec.stocks[n], self.sell_cost[n], self.k
         best_mu, best = 0, 0
         for m in range(1, hi + 1):
-            if m * p < table[m]:
+            if stock.proceeds(m, p) < 0:
                 continue
             val = k * table[m] - w * m
             if val < best:
@@ -207,32 +214,19 @@ class SlotSolver:
 
     # -- selling -----------------------------------------------------------
 
-    def sell(self, prices, queue, enforce_ownership: bool = True) -> tuple:
-        entries = self._entries(prices, queue)
-        if enforce_ownership:
-            return tuple([e[0] for e in entries])
-        return tuple(self._sell_qty(n, e[1], p, self.mu_max[n])
-                     for n, (e, p) in enumerate(zip(entries, prices)))
+    # Kept as a wrap point of perfbench/tracing.py; step does not call it.
+    def sell(self, prices, queue) -> tuple:
+        return tuple(e[0] for e in self._entries(prices, queue))
 
     # -- buying ------------------------------------------------------------
 
+    # Kept as a wrap point of perfbench/tracing.py; step does not call it.
     def buy(self, prices, queue) -> tuple:
         return self._pick(self, self._entries(prices, queue), prices)
-
-    def buy_exact(self, prices, queue) -> tuple:
-        return self._exact(self._entries(prices, queue), prices)
-
-    def buy_greedy(self, prices, queue) -> tuple:
-        return self._greedy(self._entries(prices, queue), prices)
-
-    def buy_share_budget(self, prices, queue) -> tuple:
-        return self._share_budget(self._entries(prices, queue), prices)
 
     def _exact(self, entries, prices) -> tuple:
         if self.budget.mode == "none":
             return tuple([e[2][-1][0] for e in entries])
-        if self.budget.mode != "money":
-            raise StructuralError("exact solver handles money or no budget")
         return self._budget_dp(entries, prices, self.budget.money,
                                "money-budget table",
                                "; consider the greedy solver")
@@ -289,8 +283,6 @@ class SlotSolver:
         is rolled back if its partial contribution is non-negative, so a
         truncated fee hump never makes the result worse.
         """
-        if self.budget.mode == "shares":
-            raise StructuralError("greedy solver relaxes a money budget")
         x = self.budget.money if self.budget.mode == "money" else None
         coeffs = [e[1] for e in entries]
         k = self.k
@@ -374,15 +366,13 @@ class SlotSolver:
 
     def scaled_objective(self, prices, queue, sells, buys) -> int:
         """S * (-V*profit - sum_n (Q_n - theta_n)(mu_n - A_n)), an integer."""
-        S, k = self.scale, self.k
-        total = 0
-        for n, p in enumerate(prices):
-            total -= k * (sells[n] * p - self.sell_cost[n][sells[n]])
-            total += k * (buys[n] * p + self.buy_cost[n][buys[n]])
-            total -= (S * queue[n] - self.thetaS[n]) * (sells[n] - buys[n])
-        return total
+        S = self.scale
+        return -self.k * self.profit(prices, sells, buys) - sum(
+            (S * q - t) * (m - a)
+            for q, t, m, a in zip(queue, self.thetaS, sells, buys))
 
     def profit(self, prices, sells, buys) -> int:
+        """market.slot_profit read from the cost tables, for the hot path."""
         total = 0
         for n, p in enumerate(prices):
             total += sells[n] * p - self.sell_cost[n][sells[n]]
@@ -393,8 +383,7 @@ class SlotSolver:
 def startup_cost(spec: MarketSpec, prices) -> int:
     """Cents to buy the per-stock trade cap of every stock at given prices."""
     prices = spec.check_prices(prices)
-    return sum(s.mu_max * p + s.buy_cost(s.mu_max)
-               for s, p in zip(spec.stocks, prices))
+    return sum(s.outlay(s.mu_max, p) for s, p in zip(spec.stocks, prices))
 
 
 def placeholder_wrap(params: TraderParams, spec: MarketSpec) -> TraderParams:

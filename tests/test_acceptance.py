@@ -167,8 +167,9 @@ def test_ac6_greedy_dominance_and_overshoot():
         queue = tuple(rng.randrange(0, 8) for _ in spec.stocks)
         params = TraderParams(V=rng.choice((1, 5, 50)))
         solver = SlotSolver(spec, params)
-        a_exact = solver.buy_exact(prices, queue)
-        a_greedy = solver.buy_greedy(prices, queue)
+        greedy = SlotSolver(spec, replace(params, buy_solver="greedy"))
+        a_exact = solver.buy(prices, queue)
+        a_greedy = greedy.buy(prices, queue)
         coeffs = buy_coeffs(solver, prices, queue)
 
         def obj(buys):

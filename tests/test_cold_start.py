@@ -107,3 +107,27 @@ def test_random_source_loads_numpy_before_the_pool(tmp_path):
         "run", "--config", "config.json", "--jobs", "2", "--out", "out"))
     assert out["code"] == 0
     assert out["numpy_at_pool"] == [True]
+
+
+def test_public_names_are_pinned():
+    # A name added to or dropped from the package surface shows here.
+    assert sorted(lyaptrade.__all__) == [
+        "BoundConstants", "BoundReport", "BudgetMode", "CapacityError",
+        "ConfigError", "CostFunction", "ExperimentConfig", "Feasibility",
+        "LookaheadResult", "LyaptradeError", "MarketSpec", "MarkovPriceModel",
+        "NumericalError", "ParseError", "PonlyPolicy", "PonlySolution",
+        "PriceDistribution", "PriceTrace", "SlotSolver",
+        "StatisticalPowerError", "StockSpec", "StructuralError",
+        "TradeDecision", "TraderParams", "Trajectory", "analysis",
+        "brute_force_slot_min", "cents_to_str", "cents_to_units",
+        "compute_constants", "compute_theta", "config", "config_from_json",
+        "config_to_json", "drift_rebalance", "enumerate_actions", "errors",
+        "load_config", "load_trace", "lookahead_psi", "lyapunov", "make_rng",
+        "market", "measure_memory_epsilon", "money", "oracles",
+        "placeholder_wrap", "prices", "queue_band", "run_backtest",
+        "run_profit", "sample_path_drift", "save_trace", "scaled_windows_run",
+        "simplex", "slot_profit", "solve_phi_opt", "startup_cost",
+        "stationary_distribution", "time_avg_profit", "to_cents", "trader",
+        "validate_decision", "verify_queue_band", "verify_slot_optimality",
+        "verify_thm1_profit", "verify_thm2_profit", "verify_thm3",
+        "verify_tslot_lemma"]

@@ -223,6 +223,14 @@ class TestRun:
         cfg = write_config(tmp_path, {"market": {}})
         assert main(["run", "--config", cfg]) == 5
 
+    def test_greedy_with_share_budget_is_located(self, tmp_path, capsys):
+        doc = dict(BASE, trader={"V": "50", "buy_solver": "greedy"},
+                   market=dict(BASE["market"],
+                               budget={"mode": "shares", "value": 1}))
+        assert main(["run", "--config", write_config(tmp_path, doc)]) == 5
+        err = capsys.readouterr().err
+        assert "/trader/buy_solver" in err and "Traceback" not in err, err
+
     def test_missing_trace_file_is_located(self, tmp_path, capsys):
         doc = dict(BASE, source={"kind": "trace",
                                  "path": str(tmp_path / "missing.csv")})

@@ -4,12 +4,13 @@ import json
 
 import pytest
 
-from lyaptrade import (BudgetMode, CostFunction, MarketSpec, PortfolioState,
-                       StockSpec, TradeDecision, TraderParams, Trajectory,
+from lyaptrade import (BudgetMode, CostFunction, MarketSpec, StockSpec,
+                       TradeDecision, TraderParams, Trajectory,
                        cents_to_str, cents_to_units, slot_profit, to_cents,
                        validate_decision)
 from lyaptrade.errors import ConfigError, ParseError, StructuralError
-from lyaptrade.market import BUDGET, OWNERSHIP, SELL_FEE_COVER
+from lyaptrade.market import (BUDGET, BUY_LIMIT, OWNERSHIP, SELL_FEE_COVER,
+                              SELL_LIMIT)
 from lyaptrade.trader import SlotSolver
 
 from conftest import one_stock_spec
@@ -83,41 +84,68 @@ class TestStockSpec:
 class TestValidateDecision:
     def test_zero_decision_always_ok(self):
         spec = one_stock_spec()
-        verdict = validate_decision(spec, (100,), PortfolioState((0,)),
-                                    TradeDecision.zero(1))
+        verdict = validate_decision(spec, (100,), (0,), TradeDecision.zero(1))
         assert verdict.ok
 
     def test_selling_more_than_held(self):
         spec = one_stock_spec(mu_max=2)
-        verdict = validate_decision(spec, (100,), PortfolioState((1,)),
+        verdict = validate_decision(spec, (100,), (1,),
                                     TradeDecision((0,), (2,)))
         assert (OWNERSHIP, 0) in verdict.violations
 
     def test_ownership_skipped_for_virtual_policies(self):
         spec = one_stock_spec(mu_max=2)
-        verdict = validate_decision(spec, (100,), PortfolioState((0,)),
-                                    TradeDecision((0,), (2,)),
-                                    enforce_ownership=False)
+        verdict = validate_decision(spec, (100,), None,
+                                    TradeDecision((0,), (2,)))
         assert verdict.ok
 
     def test_sale_must_cover_fee(self):
         # fixed 0.50 fee, sale at 0.40: proceeds below the fee
         spec = one_stock_spec(sell=CostFunction("fixed", fee=50))
-        verdict = validate_decision(spec, (40,), PortfolioState((5,)),
+        verdict = validate_decision(spec, (40,), (5,),
                                     TradeDecision((0,), (1,)))
         assert (SELL_FEE_COVER, 0) in verdict.violations
+
+    def test_fee_cover_is_non_negative_proceeds(self):
+        # A sale whose proceeds exactly pay the fee is allowed.
+        stock = StockSpec(0, 2, 200, buy_cost=CostFunction("linear", rate=5),
+                          sell_cost=CostFunction("fixed", fee=50))
+        assert stock.proceeds(1, 50) == 0
+        assert stock.proceeds(0, 0) == 0
+        assert stock.outlay(2, 30) == 70
+        spec = MarketSpec((stock,))
+        assert validate_decision(spec, (50,), None,
+                                 TradeDecision((0,), (1,))).ok
+        assert not validate_decision(spec, (49,), None,
+                                     TradeDecision((0,), (1,))).ok
 
     def test_money_budget(self):
         spec = one_stock_spec(mu_max=3,
                               budget=BudgetMode("money", money=150))
-        verdict = validate_decision(spec, (100,), PortfolioState((0,)),
+        verdict = validate_decision(spec, (100,), (0,),
                                     TradeDecision((2,), (0,)))
         assert (BUDGET, None) in verdict.violations
 
     def test_dimension_mismatch(self):
         with pytest.raises(StructuralError):
-            validate_decision(one_stock_spec(), (100,), PortfolioState((0,)),
+            validate_decision(one_stock_spec(), (100,), (0,),
                               TradeDecision((0, 0), (0, 0)))
+
+    def test_queue_needs_one_entry_per_stock(self):
+        # A short queue must not silently drop the stocks past its end.
+        spec = MarketSpec((StockSpec(0, 1, 200), StockSpec(1, 1, 200)))
+        d = TradeDecision((0, 99), (0, 99))
+        verdict = validate_decision(spec, (100, 100), (0, 0), d)
+        assert set(verdict.violations) == {
+            (SELL_LIMIT, 1), (OWNERSHIP, 1), (BUY_LIMIT, 1)}
+        for queue in ((0,), (0, 0, 0)):
+            with pytest.raises(StructuralError, match="queue has"):
+                validate_decision(spec, (100, 100), queue, d)
+
+    def test_negative_queue_entry(self):
+        with pytest.raises(StructuralError, match="non-negative"):
+            validate_decision(one_stock_spec(), (100,), (-1,),
+                              TradeDecision.zero(1))
 
 
 class TestSlotProfit:
@@ -179,10 +207,10 @@ class TestQueueDynamics:
 
     def test_clamp_redundant_for_owned_sales(self):
         spec = one_stock_spec(mu_max=3)
-        state = PortfolioState((2,))
+        queue = (2,)
         d = TradeDecision((0,), (2,))
-        assert validate_decision(spec, (100,), state, d).ok
-        assert state.queue[0] - d.sells[0] + d.buys[0] >= 0
+        assert validate_decision(spec, (100,), queue, d).ok
+        assert queue[0] - d.sells[0] + d.buys[0] >= 0
         # The policy sells only what it holds, so its step never clamps.
         solver = SlotSolver(spec, TraderParams(V=1, theta=(0,)))
         sold = 0

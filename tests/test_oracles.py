@@ -41,10 +41,11 @@ class TestEnumerate:
         aset = enumerate_actions(one_stock_spec(mu_max=3), (100,), queue=(1,))
         assert max(d.sells[0] for d in aset.actions) == 1
 
-    def test_capacity_cap(self):
+    def test_capacity_cap(self, monkeypatch):
+        monkeypatch.setenv("LYAPTRADE_CAPACITY_CELLS", "3")
         spec = one_stock_spec(mu_max=3)
         with pytest.raises(CapacityError):
-            enumerate_actions(spec, (100,), cap=3)
+            enumerate_actions(spec, (100,))
 
 
 def deterministic_phi_opt(spec, dist):

@@ -106,7 +106,7 @@ def test_greedy_never_worse_than_exact_and_overshoot_bounded(spec, data):
     exact = SlotSolver(spec, params)
     greedy = SlotSolver(spec, TraderParams(V=params.V, buy_solver="greedy"))
     a_exact = exact.buy(prices, queue)
-    a_greedy = greedy.buy_greedy(prices, queue)
+    a_greedy = greedy.buy(prices, queue)
 
     def buy_objective(buys):
         coeff = buy_coeffs(exact, prices, queue)

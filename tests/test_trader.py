@@ -9,7 +9,7 @@ from fractions import Fraction
 import pytest
 
 from lyaptrade import (BudgetMode, CostFunction, MarketSpec, MarkovPriceModel,
-                       PortfolioState, PriceDistribution, PriceTrace,
+                       PriceDistribution, PriceTrace,
                        StockSpec, TradeDecision, TraderParams, Trajectory,
                        compute_theta, placeholder_wrap, queue_band,
                        run_backtest, run_profit, scaled_windows_run,
@@ -77,18 +77,18 @@ class TestBuyExact:
     def test_above_theta_never_buys(self):
         spec = one_stock_spec(mu_max=2, p_max_cents=200)
         params = TraderParams(V=10)  # theta = 24
-        assert SlotSolver(spec, params).buy_exact((0,), (25,)) == (0,)
+        assert SlotSolver(spec, params).buy((0,), (25,)) == (0,)
 
     def test_cheap_price_buys_cap(self):
         spec = one_stock_spec(mu_max=2, p_max_cents=200)
         params = TraderParams(V=10)
-        assert SlotSolver(spec, params).buy_exact((100,), (2,)) == (2,)
+        assert SlotSolver(spec, params).buy((100,), (2,)) == (2,)
 
     def test_budget_blocks_purchase(self):
         spec = one_stock_spec(mu_max=2, p_max_cents=200,
                               budget=BudgetMode("money", money=1))
         params = TraderParams(V=10)
-        assert SlotSolver(spec, params).buy_exact((100,), (2,)) == (0,)
+        assert SlotSolver(spec, params).buy((100,), (2,)) == (0,)
 
     def test_matches_enumeration(self, rng):
         from lyaptrade import enumerate_actions
@@ -132,7 +132,7 @@ class TestBuyExact:
             fits = sum(a * p for a, p in zip(free, prices)) \
                 <= spec.budget.money
             branches["slack" if fits else "dp"] += 1
-            assert solver.buy_exact(prices, queue) == _reference_dp(
+            assert solver.buy(prices, queue) == _reference_dp(
                 solver, coeffs, prices, spec.budget.money)
         assert min(branches.values()) >= 50, branches
 
@@ -191,15 +191,14 @@ class TestBuyGreedy:
     def test_nonnegative_coeffs_buy_nothing(self):
         spec = one_stock_spec(mu_max=2, p_max_cents=100)
         params = TraderParams(V=10, theta=(1,), buy_solver="greedy")
-        assert SlotSolver(spec, params).buy_greedy((100,), (5,)) == (0,)
+        assert SlotSolver(spec, params).buy((100,), (5,)) == (0,)
 
     def test_picks_smallest_ratio_first(self):
         spec = MarketSpec((StockSpec(0, 1, 100), StockSpec(1, 1, 100)),
                           BudgetMode("money", money=100))
         # coefficients (Q - theta + V p) = (-10, -2) at p = $1 each
         params = TraderParams(V=1, theta=(12, 4), buy_solver="greedy")
-        assert SlotSolver(spec, params).buy_greedy((100, 100),
-                                                   (1, 1)) == (1, 0)
+        assert SlotSolver(spec, params).buy((100, 100), (1, 1)) == (1, 0)
 
     def test_single_stock_matches_exact_without_overshoot(self, rng):
         for _ in range(50):
@@ -209,14 +208,14 @@ class TestBuyGreedy:
             prices = (rng.randrange(1, spec.stocks[0].p_max + 1),)
             queue = (rng.randrange(0, 6),)
             greedy = SlotSolver(spec, replace(params, buy_solver="greedy"))
-            assert greedy.buy_greedy(prices, queue) \
-                == SlotSolver(spec, params).buy_exact(prices, queue)
+            assert greedy.buy(prices, queue) \
+                == SlotSolver(spec, params).buy(prices, queue)
 
     def test_zero_price_taken_immediately(self):
         spec = one_stock_spec(mu_max=3, p_max_cents=100,
                               budget=BudgetMode("money", money=1))
         params = TraderParams(V=1, theta=(100,), buy_solver="greedy")
-        assert SlotSolver(spec, params).buy_greedy((0,), (0,)) == (3,)
+        assert SlotSolver(spec, params).buy((0,), (0,)) == (3,)
 
     def test_requires_concave_costs(self):
         spec = one_stock_spec(
@@ -233,9 +232,8 @@ class TestBuyShareBudget:
         free = MarketSpec(stocks)
         params = TraderParams(V=10, buy_solver="share_budget")
         prices, queue = (100, 50), (2, 2)
-        got = SlotSolver(loose, params).buy_share_budget(prices, queue)
-        assert got == SlotSolver(free, TraderParams(V=10)).buy_exact(prices,
-                                                                     queue)
+        got = SlotSolver(loose, params).buy(prices, queue)
+        assert got == SlotSolver(free, TraderParams(V=10)).buy(prices, queue)
 
     def test_fills_most_negative_first(self):
         stocks = (StockSpec(0, 2, 200,
@@ -244,14 +242,14 @@ class TestBuyShareBudget:
         spec = MarketSpec(stocks, BudgetMode("shares", shares=2))
         params = TraderParams(V=1, theta=(10, 10), buy_solver="share_budget")
         # weights: (2 - 10 + 1 + 0.1, 2 - 10 + 0.5) -> stock 1 first
-        got = SlotSolver(spec, params).buy_share_budget((100, 50), (2, 2))
+        got = SlotSolver(spec, params).buy((100, 50), (2, 2))
         assert got == (0, 2)
 
     def test_tight_budget(self):
         spec = MarketSpec((StockSpec(0, 3, 200),),
                           BudgetMode("shares", shares=1))
         params = TraderParams(V=10, buy_solver="share_budget")
-        assert SlotSolver(spec, params).buy_share_budget((100,), (0,)) == (1,)
+        assert SlotSolver(spec, params).buy((100,), (0,)) == (1,)
 
     def test_table_cost_dp_path(self, rng):
         from lyaptrade import enumerate_actions
@@ -299,7 +297,7 @@ class TestBuyShareBudget:
                 <= spec.budget.shares
             branches["slack" if fits else "dp"] += 1
             ones = (1,) * spec.n_stocks
-            assert solver.buy_share_budget(prices, queue) == _reference_dp(
+            assert solver.buy(prices, queue) == _reference_dp(
                 solver, coeffs, ones, spec.budget.shares)
         assert min(branches.values()) >= 50, branches
 
@@ -318,7 +316,7 @@ class TestStep:
             prices = tuple(rng.randrange(0, s.p_max + 1) for s in spec.stocks)
             q0 = tuple(s.mu_max for s in spec.stocks)
             sells, buys, _, _ = SlotSolver(spec, params).step(prices, q0)
-            assert validate_decision(spec, prices, PortfolioState(q0),
+            assert validate_decision(spec, prices, q0,
                                      TradeDecision(buys, sells)).ok
 
     def test_no_sale_at_band_floor(self):
