@@ -22,9 +22,10 @@ from .analysis import (BoundReport, check_frame_drift, measure_memory_epsilon,
                        verify_queue_band, verify_slot_optimality,
                        verify_thm1_profit, verify_thm2_profit, verify_thm3,
                        FAIL, PASS)
-from .config import (ExperimentConfig, config_to_json, load_config,
+from .config import (DETERMINISTIC_CHECKS, STATISTICAL_CHECKS,
+                     ExperimentConfig, config_to_json, load_config,
                      open_input)
-from .errors import (CapacityError, ConfigError, LyaptradeError, ParseError,
+from .errors import (CapacityError, ConfigError, LyaptradeError,
                      StatisticalPowerError, StructuralError)
 from .market import TradeDecision
 from .money import cents_to_str
@@ -36,10 +37,6 @@ from .trader import (SlotSolver, Trajectory, placeholder_wrap, run_backtest,
 
 EXIT_OK, EXIT_DETERMINISTIC, EXIT_STATISTICAL = 0, 2, 3
 EXIT_CAPACITY, EXIT_CONFIG = 4, 5
-
-DETERMINISTIC_CHECKS = ("dynamics", "queue_band", "slot_optimality",
-                        "frame_drift", "thm3")
-STATISTICAL_CHECKS = ("thm1", "thm2")
 
 
 def _resolved(cfg: ExperimentConfig):
@@ -397,7 +394,7 @@ def main(argv=None) -> int:
     except StatisticalPowerError as exc:
         print(f"statistical power: {exc}", file=sys.stderr)
         return EXIT_STATISTICAL
-    except (ConfigError, ParseError, StructuralError, LyaptradeError) as exc:
+    except LyaptradeError as exc:
         print(f"config: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 

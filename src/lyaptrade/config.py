@@ -18,8 +18,10 @@ from .money import _as_fraction, _integer, to_cents
 from .prices import MarkovPriceModel, PriceDistribution, load_trace
 from .trader import TraderParams
 
-KNOWN_CHECKS = ("dynamics", "queue_band", "slot_optimality",
-                "frame_drift", "thm1", "thm2", "thm3")
+DETERMINISTIC_CHECKS = ("dynamics", "queue_band", "slot_optimality",
+                        "frame_drift", "thm3")
+STATISTICAL_CHECKS = ("thm1", "thm2")
+KNOWN_CHECKS = DETERMINISTIC_CHECKS + STATISTICAL_CHECKS
 # Integer entries of the free-form sections: (section, key, least value).
 INTEGER_OPTIONS = (("options", "window", 1), ("options", "optimality_slots", 0),
                    ("oracle", "window", 1), ("scaled", "frame", 1),
@@ -183,6 +185,12 @@ def config_from_json(doc) -> ExperimentConfig:
                           location="/seed")
     market = MarketSpec.from_json(doc["market"])
     trader = _parse_trader(doc["trader"])
+    for name in ("theta", "initial_queue"):
+        value = getattr(trader, name)
+        if value is not None and len(value) != market.n_stocks:
+            raise ConfigError(f"has {len(value)} entries, the market has "
+                              f"{market.n_stocks} stocks",
+                              location=f"/trader/{name}")
     source = _parse_source(doc["source"])
     return ExperimentConfig(
         market=market,

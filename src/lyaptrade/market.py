@@ -160,6 +160,16 @@ class BudgetMode:
         if self.mode == "shares" and self.shares < 1:
             raise ConfigError("share budget must be at least 1")
 
+    def purchase_rule(self, prices) -> tuple:
+        """(sizes, limit): buys a fit the budget at these prices when
+        sum_n sizes[n] * a_n <= limit.  Money weighs a share by its price
+        in cents, a share budget by 1, and no budget by 0."""
+        if self.mode == "money":
+            return prices, self.money
+        if self.mode == "shares":
+            return (1,) * len(prices), self.shares
+        return (0,) * len(prices), 0
+
 
 @dataclass(frozen=True)
 class MarketSpec:
@@ -291,13 +301,9 @@ def validate_decision(spec: MarketSpec, prices, queue,
             violations.append((OWNERSHIP, s.index))
         if not 0 <= a <= s.mu_max:
             violations.append((BUY_LIMIT, s.index))
-    budget = spec.budget
-    if budget.mode == "money":
-        if sum(a * p for a, p in zip(d.buys, prices)) > budget.money:
-            violations.append((BUDGET, None))
-    elif budget.mode == "shares":
-        if sum(d.buys) > budget.shares:
-            violations.append((BUDGET, None))
+    sizes, limit = spec.budget.purchase_rule(prices)
+    if sum(a * z for a, z in zip(d.buys, sizes)) > limit:
+        violations.append((BUDGET, None))
     return Feasibility(not violations, tuple(violations))
 
 

@@ -13,6 +13,7 @@ import itertools
 import math
 from dataclasses import dataclass, replace
 from fractions import Fraction
+from operator import mul
 
 from .errors import CapacityError, StructuralError
 from .market import MarketSpec, TradeDecision, slot_profit
@@ -48,13 +49,9 @@ def _feasible(spec: MarketSpec, prices, queue):
         bound *= len(so) * len(bo)
     if bound > cap:
         raise CapacityError(f"action set bound {bound} exceeds cap {cap}")
-    budget = spec.budget
-    buy_set = list(itertools.product(*buy_opts))
-    if budget.mode == "money":
-        buy_set = [b for b in buy_set
-                   if sum(a * p for a, p in zip(b, prices)) <= budget.money]
-    elif budget.mode == "shares":
-        buy_set = [b for b in buy_set if sum(b) <= budget.shares]
+    sizes, limit = spec.budget.purchase_rule(prices)
+    buy_set = [b for b in itertools.product(*buy_opts)
+               if sum(map(mul, b, sizes)) <= limit]
     return buy_set, list(itertools.product(*sell_opts))
 
 

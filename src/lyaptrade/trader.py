@@ -1,13 +1,11 @@
 """The per-slot queue-driven trading policy.
 
 Selling and buying each minimize a queue-weighted objective every slot:
-sell side per stock, buy side jointly under the purchase budget.  Each
-of the three buy solvers accepts only some budget modes: the exact DP
-takes a money budget or none, the greedy relaxation a money budget or
-none (with concave buy costs), and the share-budget fill a share budget
-only.  All objective comparisons are done in scaled integer arithmetic
-so trajectories are exactly reproducible and the downstream bound
-verifiers can use zero tolerance.
+sell side per stock, buy side jointly under the purchase budget.  The
+exact buy solver takes any budget; the greedy relaxation takes a money
+budget or none, with concave buy costs.  All objective comparisons are
+done in scaled integer arithmetic so trajectories are exactly
+reproducible and the downstream bound verifiers can use zero tolerance.
 
 Unit convention: prices and costs are integer cents; the aggressiveness
 parameter V is per dollar.  Every V*price product is formed as
@@ -22,6 +20,7 @@ import math
 import os
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
+from operator import mul
 
 from .errors import CapacityError, ConfigError, StructuralError
 from .market import MarketSpec
@@ -67,14 +66,16 @@ class TraderParams:
     theta: tuple | None = None
     initial_queue: tuple | None = None
     placeholder: bool = False
-    buy_solver: str = "exact"     # "exact" | "greedy" | "share_budget"
+    buy_solver: str = "exact"     # "exact" | "greedy"
 
     def __post_init__(self):
         object.__setattr__(self, "V", _as_fraction(self.V))
         if self.V <= 0:
-            raise ConfigError("V must be positive")
-        if self.buy_solver not in ("exact", "greedy", "share_budget"):
-            raise ConfigError(f"unknown buy solver {self.buy_solver!r}")
+            raise ConfigError("V must be positive", location="/trader/V")
+        if self.buy_solver not in ("exact", "greedy"):
+            raise ConfigError(f"unknown buy solver {self.buy_solver!r}; use "
+                              "'exact', which takes any budget, or 'greedy'",
+                              location="/trader/buy_solver")
         if self.theta is not None:
             object.__setattr__(self, "theta",
                                tuple(_as_fraction(t) for t in self.theta))
@@ -87,9 +88,12 @@ class TraderParams:
         return self.theta if self.theta is not None else compute_theta(spec, self.V)
 
     def resolved_initial_queue(self, spec: MarketSpec) -> tuple:
-        if self.initial_queue is not None:
-            return self.initial_queue
-        return tuple(s.mu_max for s in spec.stocks)
+        if self.initial_queue is None:
+            return tuple(s.mu_max for s in spec.stocks)
+        if len(self.initial_queue) != spec.n_stocks:
+            raise StructuralError("initial_queue dimensioned for a different "
+                                  "market")
+        return self.initial_queue
 
     def theta_conforms(self, spec: MarketSpec) -> bool:
         return self.resolved_theta(spec) == compute_theta(spec, self.V)
@@ -146,20 +150,13 @@ class SlotSolver:
         self.memo: dict = {}
         self.tables = tuple({} for _ in spec.stocks)
         # A plain function: a bound method would make each solver a cycle.
-        self._pick = {"exact": SlotSolver._exact, "greedy": SlotSolver._greedy,
-                      "share_budget": SlotSolver._share_budget}[
-                          params.buy_solver]
-        where = "/trader/buy_solver"
-        if params.buy_solver == "share_budget" and self.budget.mode != "shares":
-            raise ConfigError("share_budget solver needs a share budget",
-                              location=where)
-        if params.buy_solver == "exact" and self.budget.mode == "shares":
-            raise ConfigError("exact solver handles money or no budget; "
-                              "use the share_budget solver", location=where)
-        if params.buy_solver == "greedy" and self.budget.mode == "shares":
-            raise ConfigError("greedy solver relaxes a money budget; "
-                              "use the share_budget solver", location=where)
+        self._pick = SlotSolver._greedy if params.buy_solver == "greedy" \
+            else SlotSolver._exact
         if params.buy_solver == "greedy":
+            if self.budget.mode == "shares":
+                raise ConfigError("greedy solver relaxes a money budget; "
+                                  "use the exact solver",
+                                  location="/trader/buy_solver")
             for s in spec.stocks:
                 if not s.buy_cost.is_concave(s.mu_max):
                     raise ConfigError(
@@ -225,23 +222,19 @@ class SlotSolver:
         return self._pick(self, self._entries(prices, queue), prices)
 
     def _exact(self, entries, prices) -> tuple:
-        if self.budget.mode == "none":
-            return tuple([e[2][-1][0] for e in entries])
-        return self._budget_dp(entries, prices, self.budget.money,
-                               "money-budget table",
-                               "; consider the greedy solver")
-
-    def _budget_dp(self, entries, sizes, limit, what, hint="") -> tuple:
         """Lexicographic minimum of (objective, total shares, buy vector)
-        subject to sum_n sizes[n] * a_n <= limit.
+        subject to the budget's purchase rule, sum_n sizes[n] * a_n <=
+        limit.
 
         The objective is separable, so when the per-stock minimisers fit
         the budget they are that minimum: any vector reaching the same
         objective uses a per-stock minimum in every stock, hence holds at
-        least as many shares.  Otherwise a dict-keyed DP over the budget
-        used runs on the undominated quantities of each stock only."""
+        least as many shares.  With no budget they always fit.  Otherwise
+        a dict-keyed DP over the budget used runs on the undominated
+        quantities of each stock only."""
+        sizes, limit = self.budget.purchase_rule(prices)
         best = tuple([e[2][-1][0] for e in entries])
-        if sum(a * z for a, z in zip(best, sizes)) <= limit:
+        if sum(map(mul, best, sizes)) <= limit:
             return best
         cap = self.cap
         work = 0
@@ -259,8 +252,12 @@ class SlotSolver:
                         new[u] = cand
                 work += len(opts)
                 if work > cap:
-                    raise CapacityError(f"{what} reached {work} cells, over "
-                                        f"the cap of {cap}{hint}")
+                    # Only a money budget has a relaxation to suggest.
+                    money = self.budget.mode == "money"
+                    raise CapacityError(
+                        f"{'money' if money else 'share'}-budget table "
+                        f"reached {work} cells, over the cap of {cap}"
+                        + ("; consider the greedy solver" if money else ""))
             dp = new
         return min(dp.values())[2]
 
@@ -328,29 +325,6 @@ class SlotSolver:
                         A[best_n] = start
                         spent -= taken * prices[best_n]
                     return tuple(A)
-
-    def _share_budget(self, entries, prices) -> tuple:
-        a_tot = self.budget.shares
-        k = self.k
-        if all(s.buy_cost.kind in ("zero", "linear") for s in self.spec.stocks):
-            # Constant per-share weights: fill negative weights in
-            # ascending order, lower index first on ties.
-            weights = []
-            for n, (_, w, _) in enumerate(entries):
-                rate = self.spec.stocks[n].buy_cost.rate \
-                    if self.spec.stocks[n].buy_cost.kind == "linear" else 0
-                weights.append((w + k * rate, n))
-            A = [0] * len(entries)
-            remaining = a_tot
-            for weight, n in sorted(w for w in weights if w[0] < 0):
-                take = min(self.mu_max[n], remaining)
-                A[n] = take
-                remaining -= take
-                if remaining == 0:
-                    break
-            return tuple(A)
-        return self._budget_dp(entries, (1,) * len(entries), a_tot,
-                               "share-budget table")
 
     def step(self, prices, queue) -> tuple:
         """One slot of the policy: (sells, buys, profit cents, next queue),

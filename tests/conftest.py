@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 
 from lyaptrade import (BudgetMode, CostFunction, MarketSpec, PriceDistribution,
-                       PriceTrace, StockSpec, TraderParams)
+                       PriceTrace, StockSpec)
 
 
 def one_stock_spec(mu_max=1, p_max_cents=200, buy=None, sell=None,
@@ -81,12 +81,6 @@ def adversarial_trace(spec: MarketSpec, length: int) -> PriceTrace:
         rows.append(tuple(s.p_max if (t + i) % 2 == 0 else 0
                           for i, s in enumerate(spec.stocks)))
     return PriceTrace(tuple(rows), source="adversarial")
-
-
-def params_for(spec: MarketSpec, V, **kw) -> TraderParams:
-    if spec.budget.mode == "shares":
-        kw.setdefault("buy_solver", "share_budget")
-    return TraderParams(V=V, **kw)
 
 
 @pytest.fixture

@@ -19,7 +19,7 @@ from lyaptrade.prices import stationary_distribution
 from lyaptrade.trader import SlotSolver
 
 from conftest import (adversarial_trace, buy_coeffs, one_stock_spec,
-                      params_for, random_dist, random_small_spec,
+                      random_dist, random_small_spec,
                       random_trace, uniform_two_price)
 from test_oracles import deterministic_phi_opt
 
@@ -48,7 +48,7 @@ def band_corpus(horizon):
     rng = random.Random(0xAC01)
     for i in range(200):
         spec = random_small_spec(rng, max_stocks=3, max_mu=3)
-        params = params_for(spec, (5, 50, 500)[i % 3])
+        params = TraderParams(V=(5, 50, 500)[i % 3])
         sources = (random_dist(rng, spec), random_markov2(rng, spec),
                    adversarial_trace(spec, horizon))
         for j, source in enumerate(sources):
@@ -90,7 +90,7 @@ def test_ac3_per_slot_optimality():
     horizon = 10 ** 3
     for _ in range(50):
         spec = random_small_spec(rng, max_stocks=2, max_mu=2)
-        params = params_for(spec, rng.choice((1, 5, 50)))
+        params = TraderParams(V=rng.choice((1, 5, 50)))
         traj = run_backtest(spec, params, random_dist(rng, spec, 3),
                             horizon, seed=rng.randrange(2 ** 32))
         solver = SlotSolver(spec, params)
@@ -134,7 +134,7 @@ def test_ac5_windowed_drift_inequality():
     checked = 0
     for _ in range(100):
         spec = random_small_spec(rng, max_stocks=2, max_mu=2)
-        params = params_for(spec, rng.choice((1, 5, 50)))
+        params = TraderParams(V=rng.choice((1, 5, 50)))
         trace = random_trace(rng, spec, 24)
         traj = run_backtest(spec, params, trace, len(trace))
         for _ in range(10):

@@ -94,17 +94,27 @@ class TestConfig:
         ({"market": {"stocks": [{"mu_max": 1.9, "p_max": "2.00"}]}},
          "/market/stocks/0/mu_max"),
         ({"market": {"stocks": [{"mu_max": 1, "p_max": "2.00"}],
-                     "budget": {"mode": "shares", "value": 2.7}},
-          "trader": {"V": "50", "buy_solver": "share_budget"}},
+                     "budget": {"mode": "shares", "value": 2.7}}},
          "/market/budget/value"),
         ({"trader": {"V": "50", "initial_queue": [1.5]}},
          "/trader/initial_queue/0"),
+        ({"trader": {"V": "50", "initial_queue": [1, 2]}},
+         "/trader/initial_queue"),
+        ({"market": {"stocks": [{"mu_max": 1, "p_max": "2.00"}] * 2},
+          "trader": {"V": "50", "initial_queue": [1]}},
+         "/trader/initial_queue"),
+        ({"trader": {"V": "50", "theta": ["1", "2"]}}, "/trader/theta"),
+        ({"trader": {"V": "50", "buy_solver": "fastest"}},
+         "/trader/buy_solver"),
+        ({"trader": {"V": "0"}}, "/trader/V"),
     ], ids=["probs-entry", "row-not-list", "row-sum", "horizon", "seed",
             "replications", "window", "window-zero", "optimality-slots",
             "oracle-window", "scaled-frame", "horizon-fractional",
             "horizon-bool", "window-fractional", "scaled-beta",
             "scaled-beta-negative", "mu-max-fractional",
-            "share-budget-fractional", "initial-queue-fractional"])
+            "share-budget-fractional", "initial-queue-fractional",
+            "initial-queue-long", "initial-queue-short", "theta-length",
+            "buy-solver-unknown", "v-not-positive"])
     def test_bad_field_located(self, tmp_path, capsys, change, location):
         doc = dict(BASE, **change)
         assert main(["run", "--config", write_config(tmp_path, doc)]) == 5
@@ -230,6 +240,15 @@ class TestRun:
         assert main(["run", "--config", write_config(tmp_path, doc)]) == 5
         err = capsys.readouterr().err
         assert "/trader/buy_solver" in err and "Traceback" not in err, err
+
+    def test_share_budget_solver_points_to_exact(self, tmp_path, capsys):
+        doc = dict(BASE, trader={"V": "50", "buy_solver": "share_budget"},
+                   market=dict(BASE["market"],
+                               budget={"mode": "shares", "value": 1}))
+        assert main(["run", "--config", write_config(tmp_path, doc)]) == 5
+        err = capsys.readouterr().err
+        assert err.startswith("config: /trader/buy_solver: "), err
+        assert "'exact'" in err and "Traceback" not in err, err
 
     def test_missing_trace_file_is_located(self, tmp_path, capsys):
         doc = dict(BASE, source={"kind": "trace",
@@ -477,6 +496,23 @@ class TestCapacityCells:
         err = capsys.readouterr().err
         sizes = [int(v) for v in re.findall(r"\d+", err)]
         assert 5 in sizes and any(v > 5 for v in sizes), err
+
+    @pytest.mark.parametrize("budget, hint", [
+        ({"mode": "money", "value": "3.00"}, True),
+        ({"mode": "shares", "value": 3}, False)])
+    def test_only_money_overflow_suggests_greedy(self, tmp_path, monkeypatch,
+                                                 capsys, budget, hint):
+        # Greedy relaxes a money budget only; it cannot take shares.
+        monkeypatch.setenv("LYAPTRADE_CAPACITY_CELLS", "5")
+        doc = dict(BASE, market={
+            "stocks": [{"mu_max": 2, "p_max": "2.00"},
+                       {"mu_max": 2, "p_max": "2.00"}], "budget": budget},
+            source={"kind": "iid", "support": [["1.00", "1.00"]],
+                    "probs": [1]})
+        assert main(["run", "--config", write_config(tmp_path, doc)]) == 4
+        err = capsys.readouterr().err
+        assert "over the cap of 5" in err, err
+        assert ("consider the greedy solver" in err) == hint, err
 
     def test_slack_budget_never_reaches_the_cap(self, tmp_path, monkeypatch,
                                                 capsys):

@@ -83,11 +83,11 @@ CASES = {
     "share_budget_linear_iid": (
         _spec([(LINEAR, FIXED), (CostFunction(), LINEAR),
                (LINEAR, CostFunction())], BudgetMode("shares", shares=3)),
-        TraderParams(V=12, buy_solver="share_budget"), _iid(3, 300), 400, 5),
+        TraderParams(V=12), _iid(3, 300), 400, 5),
     "share_budget_table_markov": (
         _spec([(TABLE, CostFunction()), (FIXED, LINEAR)],
               BudgetMode("shares", shares=4), mu_max=3),
-        TraderParams(V=25, buy_solver="share_budget"), _markov(2, 300), 400, 6),
+        TraderParams(V=25), _markov(2, 300), 400, 6),
 }
 
 GOLDEN = {

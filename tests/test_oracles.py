@@ -15,7 +15,7 @@ from lyaptrade.errors import CapacityError
 from lyaptrade.market import slot_profit
 from lyaptrade.trader import SlotSolver
 
-from conftest import (one_stock_spec, params_for, random_dist,
+from conftest import (one_stock_spec, random_dist,
                       random_small_spec, random_trace, uniform_two_price)
 
 
@@ -288,7 +288,7 @@ class TestBruteForce:
             if k % 4 == 0:
                 spec = MarketSpec(spec.stocks, BudgetMode(
                     "shares", shares=rng.randint(1, 3)))
-            params = params_for(spec, rng.choice((1, 5, 50, Fraction(35, 3))))
+            params = TraderParams(V=rng.choice((1, 5, 50, Fraction(35, 3))))
             prices = tuple(rng.randrange(0, s.p_max + 1) for s in spec.stocks)
             queue = tuple(rng.randrange(0, 8) for _ in spec.stocks)
             assert brute_force_slot_min(params, spec, prices, queue) \

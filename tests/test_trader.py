@@ -230,7 +230,7 @@ class TestBuyShareBudget:
         stocks = (StockSpec(0, 2, 200), StockSpec(1, 2, 200))
         loose = MarketSpec(stocks, BudgetMode("shares", shares=4))
         free = MarketSpec(stocks)
-        params = TraderParams(V=10, buy_solver="share_budget")
+        params = TraderParams(V=10)
         prices, queue = (100, 50), (2, 2)
         got = SlotSolver(loose, params).buy(prices, queue)
         assert got == SlotSolver(free, TraderParams(V=10)).buy(prices, queue)
@@ -240,7 +240,7 @@ class TestBuyShareBudget:
                             buy_cost=CostFunction("linear", rate=10)),
                   StockSpec(1, 2, 200))
         spec = MarketSpec(stocks, BudgetMode("shares", shares=2))
-        params = TraderParams(V=1, theta=(10, 10), buy_solver="share_budget")
+        params = TraderParams(V=1, theta=(10, 10))
         # weights: (2 - 10 + 1 + 0.1, 2 - 10 + 0.5) -> stock 1 first
         got = SlotSolver(spec, params).buy((100, 50), (2, 2))
         assert got == (0, 2)
@@ -248,8 +248,45 @@ class TestBuyShareBudget:
     def test_tight_budget(self):
         spec = MarketSpec((StockSpec(0, 3, 200),),
                           BudgetMode("shares", shares=1))
-        params = TraderParams(V=10, buy_solver="share_budget")
+        params = TraderParams(V=10)
         assert SlotSolver(spec, params).buy((100,), (0,)) == (1,)
+
+    def test_tied_weights_break_like_the_oracle(self):
+        # Both stocks weigh the same per share: (1, 2) and (2, 1) tie on
+        # objective and shares, and the lower buy vector wins.
+        from lyaptrade.oracles import brute_force_slot_min
+        spec = MarketSpec((StockSpec(0, 2, 200), StockSpec(1, 2, 200)),
+                          BudgetMode("shares", shares=3))
+        params = TraderParams(V=10)
+        prices, queue = (100, 100), params.resolved_initial_queue(spec)
+        sells, buys, _, _ = SlotSolver(spec, params).step(prices, queue)
+        assert (sells, buys) == ((0, 0), (1, 2))
+        oracle = brute_force_slot_min(params, spec, prices, queue)
+        assert (oracle.sells, oracle.buys) == (sells, buys)
+
+    def test_zero_and_linear_costs_match_oracle(self):
+        from lyaptrade.oracles import brute_force_slot_min
+        rng = random.Random(1313)
+        ties = 0
+        for _ in range(300):
+            # Shared trade caps, price caps and rates make tied weights
+            # common.
+            n, mu = rng.randint(2, 3), rng.randint(1, 3)
+            rate = rng.choice((0, 10))
+            stocks = tuple(StockSpec(
+                i, mu, 200, buy_cost=CostFunction("linear", rate=rate)
+                if rate and rng.random() < 0.7 else CostFunction())
+                for i in range(n))
+            spec = MarketSpec(stocks, BudgetMode(
+                "shares", shares=rng.randint(1, n * mu - 1)))
+            params = TraderParams(V=rng.choice((1, 5, 10)))
+            prices = tuple(rng.choice((0, 50, 100)) for _ in stocks)
+            queue = tuple(rng.randrange(0, 8) for _ in stocks)
+            sells, buys, _, _ = SlotSolver(spec, params).step(prices, queue)
+            oracle = brute_force_slot_min(params, spec, prices, queue)
+            assert (sells, buys) == (oracle.sells, oracle.buys)
+            ties += len(set(prices)) < n and sum(buys) == spec.budget.shares
+        assert ties >= 50, ties
 
     def test_table_cost_dp_path(self, rng):
         from lyaptrade import enumerate_actions
@@ -258,7 +295,7 @@ class TestBuyShareBudget:
                        buy_cost=CostFunction("table", values=(0, 10, 40))),
              StockSpec(1, 2, 200)),
             BudgetMode("shares", shares=3))
-        params = TraderParams(V=5, buy_solver="share_budget")
+        params = TraderParams(V=5)
         solver = SlotSolver(spec, params)
         for _ in range(30):
             prices = tuple(rng.randrange(0, 201) for _ in range(2))
@@ -282,11 +319,7 @@ class TestBuyShareBudget:
         branches = {"slack": 0, "dp": 0}
         for _ in range(400):
             spec = _random_buy_market(rng, budget_for)
-            if all(s.buy_cost.kind in ("zero", "linear")
-                   for s in spec.stocks):
-                continue  # the constant-weight fill, not the DP path
-            params = TraderParams(V=rng.choice((1, 5, 50, Fraction(35, 3))),
-                                  buy_solver="share_budget")
+            params = TraderParams(V=rng.choice((1, 5, 50, Fraction(35, 3))))
             solver = SlotSolver(spec, params)
             prices = tuple(0 if rng.random() < 0.2
                            else rng.randrange(0, s.p_max + 1)
@@ -332,6 +365,14 @@ class TestRuns:
         traj = run_backtest(spec, TraderParams(V=50), uniform_two_price(),
                             1, seed=4)
         assert traj.n_slots == 1
+
+    @pytest.mark.parametrize("queue", [(1,), (1, 2, 3)])
+    def test_initial_queue_needs_one_entry_per_stock(self, queue):
+        spec = MarketSpec((StockSpec(0, 1, 200), StockSpec(1, 1, 200)))
+        dist = PriceDistribution(((100, 100),), (Fraction(1),))
+        with pytest.raises(StructuralError, match="initial_queue"):
+            run_backtest(spec, TraderParams(V=50, initial_queue=queue),
+                         dist, 3)
 
     def test_determinism(self):
         spec = one_stock_spec()
