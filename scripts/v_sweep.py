@@ -14,7 +14,7 @@ from fractions import Fraction
 from lyaptrade import (BudgetMode, CostFunction, MarketSpec,
                        PriceDistribution, StockSpec, TraderParams,
                        run_profit, solve_phi_opt)
-from lyaptrade.analysis import compute_constants, lyapunov, time_avg_profit
+from lyaptrade.analysis import verify_thm1_profit
 
 
 def benchmark_market(p_lo, p_hi):
@@ -37,21 +37,20 @@ def main(argv=None):
 
     spec, dist = benchmark_market(100, 200)
     phi = solve_phi_opt(spec, dist).phi_opt
-    B = compute_constants(spec, 1).B
 
     out = sys.stdout if args.out == "-" else open(args.out, "w", newline="")
     w = csv.writer(out)
     w.writerow(["V", "mean_profit_per_slot", "ci95", "floor", "slack"])
     for V in args.v_values:
         params = TraderParams(V=V)
-        q0 = params.resolved_initial_queue(spec)
-        theta = params.resolved_theta(spec)
         totals = [run_profit(spec, params, dist, args.horizon,
                              seed=args.seed, stream=r)[0]
                   for r in range(args.replications)]
-        mean, ci = time_avg_profit(totals, args.horizon)
-        floor = float(phi - B / V - lyapunov(q0, theta) / (V * args.horizon))
-        w.writerow([V, f"{mean:.6f}", f"{ci:.6f}", f"{floor:.6f}",
+        report = verify_thm1_profit(totals, args.horizon, spec, params, phi,
+                                    min_runs=1)
+        mean, sigma, floor = (report.detail[k]
+                              for k in ("mean", "sigma", "bound"))
+        w.writerow([V, f"{mean:.6f}", f"{1.96 * sigma:.6f}", f"{floor:.6f}",
                     f"{mean - floor:.6f}"])
     if out is not sys.stdout:
         out.close()

@@ -15,7 +15,7 @@ from fractions import Fraction
 from .errors import StatisticalPowerError, StructuralError
 from .market import MarketSpec, TradeDecision, slot_profit, validate_decision
 from .money import _as_fraction, cents_to_units
-from .trader import SlotSolver, TraderParams, Trajectory
+from .trader import SlotSolver, TraderParams, Trajectory, queue_band
 
 PASS, FAIL, VACUOUS = "pass", "fail", "vacuous-pass"
 
@@ -106,9 +106,9 @@ def verify_queue_band(traj: Trajectory) -> BoundReport:
     theta = params.resolved_theta(spec)
     V = params.V
     n = spec.n_stocks
-    lo = [s.mu_max for s in spec.stocks]
-    hi = [math.floor(V * cents_to_units(s.p_max) + 3 * s.mu_max)
-          for s in spec.stocks]
+    band = queue_band(spec, params)
+    lo = [low for low, _ in band]
+    hi = [math.floor(high) for _, high in band]
     sell_thr = [_int_lt_threshold(theta[i] - V * cents_to_units(s.p_max))
                 for i, s in enumerate(spec.stocks)]
     buy_thr = [_int_gt_threshold(theta[i]) for i in range(n)]
@@ -238,39 +238,44 @@ def verify_thm3(traj: Trajectory, psi_cents, M: int, window: int) -> BoundReport
                         "achieved": float(achieved), "bound": float(bound)})
 
 
-def _ensemble_mean(avgs):
-    import numpy as np
-    arr = np.array([float(a) for a in avgs])
-    mean = arr.mean()
-    sigma = arr.std(ddof=1) / math.sqrt(len(arr)) if len(arr) > 1 else 0.0
-    return mean, sigma
-
-
-def verify_thm1_profit(run_profits_cents, horizon: int, spec: MarketSpec,
-                       params: TraderParams, phi_opt,
-                       min_runs: int = 30) -> BoundReport:
-    """In-expectation profit bound for i.i.d. prices, checked against a
-    3-sigma margin of the ensemble-mean estimator.
-
-    run_profits_cents: per-replication total profits over `horizon` slots."""
+def _profit_report(run_profits_cents, horizon, bound, check,
+                   min_runs) -> BoundReport:
+    """The ensemble mean of the per-slot profit against `bound` with a
+    3-sigma margin; vacuous when the bound is below the trivially
+    achievable 0."""
     if len(run_profits_cents) < min_runs:
         raise StatisticalPowerError(
             f"need at least {min_runs} replications, got {len(run_profits_cents)}")
-    theta = params.resolved_theta(spec)
-    q0 = params.resolved_initial_queue(spec)
-    B = compute_constants(spec, 1).B
-    bound = Fraction(phi_opt) - B / params.V \
-        - lyapunov(q0, theta) / (params.V * horizon)
-    avgs = [cents_to_units(p) / horizon for p in run_profits_cents]
-    mean, sigma = _ensemble_mean(avgs)
+    import numpy as np
+    arr = np.array([float(cents_to_units(p) / horizon)
+                    for p in run_profits_cents])
+    mean = arr.mean()
+    sigma = arr.std(ddof=1) / math.sqrt(len(arr)) if len(arr) > 1 else 0.0
     slack = mean - float(bound) + 3 * sigma
     if bound < 0:
         verdict = VACUOUS
     else:
         verdict = PASS if slack >= 0 else FAIL
     return BoundReport(verdict, slack, None,
-                       {"check": "iid_profit_bound", "mean": mean,
-                        "sigma": sigma, "bound": float(bound)})
+                       {"check": check, "mean": mean, "sigma": sigma,
+                        "bound": float(bound)})
+
+
+def verify_thm1_profit(run_profits_cents, horizon: int, spec: MarketSpec,
+                       params: TraderParams, phi_opt,
+                       min_runs: int = 30) -> BoundReport:
+    """In-expectation profit bound for i.i.d. prices,
+    phi_opt - B/V - L(Q(0))/(V t), checked against a 3-sigma margin of
+    the ensemble-mean estimator.
+
+    run_profits_cents: per-replication total profits over `horizon` slots."""
+    theta = params.resolved_theta(spec)
+    q0 = params.resolved_initial_queue(spec)
+    B = compute_constants(spec, 1).B
+    bound = Fraction(phi_opt) - B / params.V \
+        - lyapunov(q0, theta) / (params.V * horizon)
+    return _profit_report(run_profits_cents, horizon, bound,
+                          "iid_profit_bound", min_runs)
 
 
 def verify_thm2_profit(run_profits_cents, M: int, window: int,
@@ -279,9 +284,6 @@ def verify_thm2_profit(run_profits_cents, M: int, window: int,
     """In-expectation profit bound under the decaying-memory assumption,
     over M windows of `window` slots; 3-sigma margin, with vacuous
     classification when the bound falls below the trivially achievable 0."""
-    if len(run_profits_cents) < min_runs:
-        raise StatisticalPowerError(
-            f"need at least {min_runs} replications, got {len(run_profits_cents)}")
     horizon = M * window
     consts = compute_constants(spec, window, epsilon)
     theta = params.resolved_theta(spec)
@@ -289,33 +291,8 @@ def verify_thm2_profit(run_profits_cents, M: int, window: int,
     bound = Fraction(phi_opt) - consts.C2 * consts.epsilon \
         - consts.C1 * window / params.V \
         - lyapunov(q0, theta) / (params.V * horizon)
-    avgs = [cents_to_units(p) / horizon for p in run_profits_cents]
-    mean, sigma = _ensemble_mean(avgs)
-    slack = mean - float(bound) + 3 * sigma
-    if bound < 0:
-        verdict = VACUOUS
-    else:
-        verdict = PASS if slack >= 0 else FAIL
-    return BoundReport(verdict, slack, None,
-                       {"check": "memory_profit_bound", "mean": mean,
-                        "sigma": sigma, "bound": float(bound)})
-
-
-def time_avg_profit(profits_cents, t: int | None = None, z: float = 1.96):
-    """Time-average profit in dollars.
-
-    For a single run pass the per-slot cents list: returns the plain
-    average over the first t slots.  For an ensemble pass a list of
-    per-run totals with t = horizon: returns (mean, CI half-width)."""
-    if t is None:
-        t = len(profits_cents)
-    if isinstance(profits_cents[0], (list, tuple)):
-        raise StructuralError("pass per-run totals, not nested lists")
-    values = [float(cents_to_units(p)) / t for p in profits_cents]
-    if len(values) == 1:
-        return values[0], 0.0
-    mean, sigma = _ensemble_mean(values)
-    return mean, z * sigma
+    return _profit_report(run_profits_cents, horizon, bound,
+                          "memory_profit_bound", min_runs)
 
 
 # -- per-slot and per-frame drift inequalities (property-test fodder) ------

@@ -32,20 +32,19 @@ from .money import cents_to_str
 from .oracles import brute_force_slot_min, drift_rebalance, lookahead_psi, \
     solve_phi_opt
 from .prices import load_trace, make_rng, save_trace, stationary_distribution
-from .trader import (SlotSolver, Trajectory, placeholder_wrap, run_backtest,
-                     run_profit, scaled_windows_run)
+from .trader import (SlotSolver, Trajectory, run_backtest, run_profit,
+                     scaled_windows_run)
 
 EXIT_OK, EXIT_DETERMINISTIC, EXIT_STATISTICAL = 0, 2, 3
 EXIT_CAPACITY, EXIT_CONFIG = 4, 5
 
 
 def _resolved(cfg: ExperimentConfig):
-    """(source, spec, params) with trace caps and placeholder applied."""
+    """(source, spec, params) with trace caps applied and the start queue
+    checked, so bad place-holder holdings fail before any slot runs."""
     source, spec = cfg.source.resolve(cfg.market)
-    params = cfg.trader
-    if params.placeholder:
-        params = placeholder_wrap(replace(params, placeholder=False), spec)
-    return source, spec, params
+    cfg.trader.resolved_initial_queue(spec)
+    return source, spec, cfg.trader
 
 
 def _bundle(cfg: ExperimentConfig, body: dict) -> dict:
@@ -120,24 +119,30 @@ def _deterministic_checks(cfg, spec, params, traj: Trajectory, rep: int):
     return reports
 
 
+def _check_statistical_config(cfg):
+    """The config errors of thm1 and thm2, raised before any replication
+    runs."""
+    for name in cfg.verify:
+        if name == "thm1" and cfg.source.kind != "iid":
+            raise ConfigError("thm1 needs an iid source", location="/verify")
+        if name == "thm2":
+            if cfg.source.kind != "markov":
+                raise ConfigError("thm2 needs a markov source",
+                                  location="/verify")
+            if cfg.horizon % int(cfg.options.get("window", 4)):
+                raise ConfigError("horizon must be a multiple of the window",
+                                  location="/horizon")
+
+
 def _statistical_checks(cfg, spec, params, totals):
     reports = {}
     for name in cfg.verify:
         if name == "thm1":
-            if cfg.source.kind != "iid":
-                raise ConfigError("thm1 needs an iid source",
-                                  location="/verify")
             phi = solve_phi_opt(spec, cfg.source.dist).phi_opt
             reports[name] = verify_thm1_profit(totals, cfg.horizon, spec,
                                                params, phi)
         elif name == "thm2":
-            if cfg.source.kind != "markov":
-                raise ConfigError("thm2 needs a markov source",
-                                  location="/verify")
             T = int(cfg.options.get("window", 4))
-            if cfg.horizon % T:
-                raise ConfigError("horizon must be a multiple of the window",
-                                  location="/horizon")
             model = cfg.source.model
             sol = solve_phi_opt(spec, stationary_distribution(model))
             sol = drift_rebalance(sol)
@@ -172,6 +177,7 @@ def cmd_run(cfg: ExperimentConfig, out_dir, jobs: int) -> int:
                           "queue in every replication; set 1",
                           location="/replications")
     source, spec, params = _resolved(cfg)
+    _check_statistical_config(cfg)
     records = bool(cfg.verify and set(cfg.verify) & set(DETERMINISTIC_CHECKS)) \
         or cfg.write_trajectories
     worker = functools.partial(_run_block, spec, params, source,

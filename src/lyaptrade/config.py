@@ -14,7 +14,7 @@ from fractions import Fraction
 
 from .errors import ConfigError
 from .market import MarketSpec
-from .money import _as_fraction, _integer, to_cents
+from .money import _integer, to_cents
 from .prices import MarkovPriceModel, PriceDistribution, load_trace
 from .trader import TraderParams
 
@@ -138,20 +138,23 @@ def _parse_source(obj) -> SourceConfig:
     raise ConfigError(f"unknown source kind {kind!r}", location="/source/kind")
 
 
+def _boolean(x, where) -> bool:
+    # bool("false") is True.
+    if not isinstance(x, bool):
+        raise ConfigError(f"{x!r} is not true or false", location=where)
+    return x
+
+
 def _parse_trader(obj) -> TraderParams:
     if "V" not in obj:
         raise ConfigError("trader needs V", location="/trader/V")
+    placeholder = _boolean(obj.get("placeholder", False),
+                           "/trader/placeholder")
     try:
-        kwargs = {"V": _as_fraction(obj["V"])}
-        if obj.get("theta") is not None:
-            kwargs["theta"] = tuple(_as_fraction(t) for t in obj["theta"])
-        if obj.get("initial_queue") is not None:
-            kwargs["initial_queue"] = tuple(
-                _integer(q, f"/trader/initial_queue/{i}")
-                for i, q in enumerate(obj["initial_queue"]))
-        kwargs["placeholder"] = bool(obj.get("placeholder", False))
-        kwargs["buy_solver"] = obj.get("buy_solver", "exact")
-        return TraderParams(**kwargs)
+        return TraderParams(V=obj["V"], theta=obj.get("theta"),
+                            initial_queue=obj.get("initial_queue"),
+                            placeholder=placeholder,
+                            buy_solver=obj.get("buy_solver", "exact"))
     except (TypeError, ValueError) as exc:
         raise ConfigError(str(exc), location="/trader") from exc
 
@@ -203,7 +206,8 @@ def config_from_json(doc) -> ExperimentConfig:
         oracle=dict(doc.get("oracle", {})),
         scaled=dict(doc.get("scaled", {})),
         options=dict(doc.get("options", {})),
-        write_trajectories=bool(doc.get("write_trajectories", False)),
+        write_trajectories=_boolean(doc.get("write_trajectories", False),
+                                    "/write_trajectories"),
     )
 
 

@@ -206,6 +206,31 @@ def _parse_price_cell(cell: str, row: int) -> int:
     return int(cents)
 
 
+def _csv_rows(stream, header, what):
+    """Yield (row number, row) for each data row of a CSV whose header is
+    `header`, checking that row t (numbered from 1) has one cell per
+    column and holds slot t - 1."""
+    reader = csv.reader(stream)
+    try:
+        got = next(reader)
+    except StopIteration:
+        raise ParseError(f"empty {what} file") from None
+    if [h.strip() for h in got] != header:
+        raise ParseError(f"bad header {got!r}, expected {header}")
+    for rownum, row in enumerate(reader, start=1):
+        if len(row) != len(header):
+            raise ParseError(f"expected {len(header)} columns, got {len(row)}",
+                             row=rownum)
+        try:
+            slot = int(row[0])
+        except ValueError as exc:
+            raise ParseError(f"bad slot {row[0]!r}", row=rownum) from exc
+        if slot != rownum - 1:
+            raise ParseError(f"slot {slot} out of order (expected {rownum - 1})",
+                             row=rownum)
+        yield rownum, row
+
+
 def load_trace(stream, spec: MarketSpec, cap_policy: str = "reject"):
     """Read a price trace CSV (header slot,p_1,...,p_N).
 
@@ -217,27 +242,10 @@ def load_trace(stream, spec: MarketSpec, cap_policy: str = "reject"):
     """
     if cap_policy not in ("reject", "auto_expand"):
         raise ConfigError(f"unknown cap policy {cap_policy!r}")
-    reader = csv.reader(stream)
-    try:
-        header = next(reader)
-    except StopIteration:
-        raise ParseError("empty trace file")
-    n = spec.n_stocks
-    expected = ["slot"] + [f"p_{i + 1}" for i in range(n)]
-    if [h.strip() for h in header] != expected:
-        raise ParseError(f"bad header {header!r}, expected {expected}")
+    header = ["slot"] + [f"p_{i + 1}" for i in range(spec.n_stocks)]
     rows = []
     caps = [s.p_max for s in spec.stocks]
-    for rownum, row in enumerate(reader, start=1):
-        if len(row) != n + 1:
-            raise ParseError(f"expected {n + 1} columns, got {len(row)}", row=rownum)
-        try:
-            slot = int(row[0])
-        except ValueError as exc:
-            raise ParseError(f"bad slot {row[0]!r}", row=rownum) from exc
-        if slot != rownum - 1:
-            raise ParseError(f"slot {slot} out of order (expected {rownum - 1})",
-                             row=rownum)
+    for rownum, row in _csv_rows(stream, header, "trace"):
         prices = tuple(_parse_price_cell(c, rownum) for c in row[1:])
         for i, (p, s) in enumerate(zip(prices, spec.stocks)):
             if p > caps[i]:

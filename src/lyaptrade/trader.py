@@ -18,14 +18,15 @@ from __future__ import annotations
 import csv
 import math
 import os
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from fractions import Fraction
 from operator import mul
 
 from .errors import CapacityError, ConfigError, StructuralError
 from .market import MarketSpec
 from .money import _as_fraction, _integer, cents_to_str, cents_to_units
-from .prices import (MarkovPriceModel, PriceDistribution, PriceTrace, make_rng,
+from .prices import (MarkovPriceModel, PriceDistribution, PriceTrace,
+                     _csv_rows, _parse_price_cell, make_rng,
                      markov_state_sequence, sample_iid_indices)
 
 DEFAULT_CAPACITY_CELLS = 10 ** 8
@@ -60,6 +61,8 @@ class TraderParams:
     theta and initial_queue default to the conforming choices (target rule
     above; initial queue at the per-stock trade cap).  Overrides are
     allowed but flagged non-conforming, which the band verifier reports.
+    With placeholder, initial_queue holds the actual shares (default
+    none) and the start queue adds mu_max fake shares to each stock.
     """
 
     V: Fraction
@@ -70,38 +73,49 @@ class TraderParams:
 
     def __post_init__(self):
         object.__setattr__(self, "V", _as_fraction(self.V))
+        if self.theta is not None:
+            object.__setattr__(self, "theta",
+                               tuple(_as_fraction(t) for t in self.theta))
+        if self.initial_queue is not None:
+            object.__setattr__(self, "initial_queue",
+                               tuple(_integer(q, f"/trader/initial_queue/{i}")
+                                     for i, q in enumerate(self.initial_queue)))
         if self.V <= 0:
             raise ConfigError("V must be positive", location="/trader/V")
         if self.buy_solver not in ("exact", "greedy"):
             raise ConfigError(f"unknown buy solver {self.buy_solver!r}; use "
                               "'exact', which takes any budget, or 'greedy'",
                               location="/trader/buy_solver")
-        if self.theta is not None:
-            object.__setattr__(self, "theta",
-                               tuple(_as_fraction(t) for t in self.theta))
-        if self.initial_queue is not None:
-            object.__setattr__(self, "initial_queue",
-                               tuple(_integer(q, f"initial_queue/{i}") for i, q
-                                     in enumerate(self.initial_queue)))
 
     def resolved_theta(self, spec: MarketSpec) -> tuple:
         return self.theta if self.theta is not None else compute_theta(spec, self.V)
 
     def resolved_initial_queue(self, spec: MarketSpec) -> tuple:
-        if self.initial_queue is None:
+        """The start queue Q(0).  Place-holder holdings must lie in
+        [0, theta_n] for the default theta; the band guarantee then never
+        sells a fake share."""
+        q0 = self.initial_queue
+        if q0 is None:
+            # mu_max shares: real by default, fake under placeholder.
             return tuple(s.mu_max for s in spec.stocks)
-        if len(self.initial_queue) != spec.n_stocks:
+        if len(q0) != spec.n_stocks:
             raise StructuralError("initial_queue dimensioned for a different "
                                   "market")
-        return self.initial_queue
+        if not self.placeholder:
+            return q0
+        for s, q, hi in zip(spec.stocks, q0, compute_theta(spec, self.V)):
+            if not 0 <= q <= hi:
+                raise StructuralError(
+                    f"actual holdings {q} outside [0, {hi}] for stock {s.index}")
+        return tuple(q + s.mu_max for q, s in zip(q0, spec.stocks))
 
     def theta_conforms(self, spec: MarketSpec) -> bool:
         return self.resolved_theta(spec) == compute_theta(spec, self.V)
 
     def initial_conforms(self, spec: MarketSpec) -> bool:
         q0 = self.resolved_initial_queue(spec)
-        return all(s.mu_max <= q <= self.V * cents_to_units(s.p_max) + 3 * s.mu_max
-                   for s, q in zip(spec.stocks, q0))
+        return all(lo <= q <= hi
+                   for q, (lo, hi) in zip(q0, queue_band(spec, self)))
 
 
 def queue_band(spec: MarketSpec, params: TraderParams) -> tuple:
@@ -360,23 +374,11 @@ def startup_cost(spec: MarketSpec, prices) -> int:
     return sum(s.outlay(s.mu_max, p) for s, p in zip(spec.stocks, prices))
 
 
-def placeholder_wrap(params: TraderParams, spec: MarketSpec) -> TraderParams:
-    """Augment the initial queue with one trade cap of fake shares per stock.
-
-    params.initial_queue is interpreted as the *actual* holdings (default
-    all zero).  The returned params start the policy inside its operating
-    band without any startup purchase; the band guarantee ensures fake
-    shares are never sold.
-    """
-    real = params.initial_queue if params.initial_queue is not None \
-        else (0,) * spec.n_stocks
-    for s, q in zip(spec.stocks, real):
-        hi = params.V * cents_to_units(s.p_max) + 2 * s.mu_max
-        if not 0 <= q <= hi:
-            raise StructuralError(
-                f"actual holdings {q} outside [0, {hi}] for stock {s.index}")
-    augmented = tuple(q + s.mu_max for q, s in zip(real, spec.stocks))
-    return replace(params, initial_queue=augmented, placeholder=True)
+def _csv_header(n: int) -> list:
+    return (["slot"] + [f"p_{i+1}" for i in range(n)]
+            + [f"A_{i+1}" for i in range(n)]
+            + [f"mu_{i+1}" for i in range(n)]
+            + [f"Q_{i+1}" for i in range(n)] + ["profit"])
 
 
 @dataclass
@@ -422,13 +424,8 @@ class Trajectory:
             q = self.queues[t]
 
     def to_csv(self, stream):
-        n = self.spec.n_stocks
         writer = csv.writer(stream, lineterminator="\n")
-        header = (["slot"] + [f"p_{i+1}" for i in range(n)]
-                  + [f"A_{i+1}" for i in range(n)]
-                  + [f"mu_{i+1}" for i in range(n)]
-                  + [f"Q_{i+1}" for i in range(n)] + ["profit"])
-        writer.writerow(header)
+        writer.writerow(_csv_header(self.spec.n_stocks))
         for t in range(self.n_slots):
             writer.writerow([t] + [cents_to_str(p) for p in self.prices[t]]
                             + list(self.buys[t]) + list(self.sells[t])
@@ -438,24 +435,23 @@ class Trajectory:
     @staticmethod
     def from_csv(stream, spec: MarketSpec, params: TraderParams,
                  initial_queue=None) -> "Trajectory":
-        from .prices import _parse_price_cell
-        reader = csv.reader(stream)
-        next(reader)  # header
+        """Read what to_csv writes.  A header, column count, slot number
+        or price that does not fit that layout is a ParseError."""
         n = spec.n_stocks
         traj = Trajectory(spec, params,
                           tuple(initial_queue) if initial_queue is not None
                           else params.resolved_initial_queue(spec))
         columns = (("A", traj.buys), ("mu", traj.sells), ("Q", traj.queues))
-        for rownum, row in enumerate(reader, start=1):
-            if len(row) != 4 * n + 2:
-                raise StructuralError(f"row {rownum}: wrong column count")
+        for rownum, row in _csv_rows(stream, _csv_header(n), "trajectory"):
             traj.prices.append(tuple(_parse_price_cell(c, rownum)
                                      for c in row[1:1 + n]))
             for k, (name, out) in enumerate(columns, start=1):
                 out.append(tuple(_integer(c, f"row {rownum}/{name}_{i + 1}")
                                  for i, c in enumerate(row[1 + k * n:][:n])))
-            traj.profits.append(_parse_price_cell(row[-1].lstrip("-"), rownum)
-                                * (-1 if row[-1].startswith("-") else 1))
+            cell = row[-1]
+            neg = cell.startswith("-")
+            profit = _parse_price_cell(cell[1:] if neg else cell, rownum)
+            traj.profits.append(-profit if neg else profit)
         return traj
 
 
@@ -583,10 +579,8 @@ def scaled_windows_run(spec: MarketSpec, params: TraderParams, beta,
                     s.buy_cost, s.sell_cost)
             for s in spec.stocks)
         wspec = MarketSpec(stocks, spec.budget)
-        wparams = placeholder_wrap(
-            TraderParams(V=params.V * scale, buy_solver=params.buy_solver,
-                         initial_queue=(0,) * spec.n_stocks),
-            wspec)
+        wparams = TraderParams(V=params.V * scale, placeholder=True,
+                               buy_solver=params.buy_solver)
         if isinstance(source, PriceTrace):
             wsource = PriceTrace(source.sequence[w * W:(w + 1) * W],
                                  source=source.source)

@@ -8,8 +8,8 @@ from dataclasses import replace
 from fractions import Fraction
 
 from lyaptrade import (MarkovPriceModel, TraderParams, drift_rebalance,
-                       enumerate_actions, lookahead_psi, placeholder_wrap,
-                       run_backtest, run_profit, solve_phi_opt, startup_cost)
+                       enumerate_actions, lookahead_psi, run_backtest,
+                       run_profit, solve_phi_opt, startup_cost)
 from lyaptrade.analysis import (VACUOUS, measure_memory_epsilon,
                                 verify_queue_band, verify_slot_optimality,
                                 verify_thm1_profit, verify_thm2_profit,
@@ -189,8 +189,8 @@ def test_ac6_greedy_dominance_and_overshoot():
 def test_ac7_placeholder_equivalence():
     horizon = 10 ** 4
     for spec, params, source, seed in band_corpus(horizon):
-        wrapped = placeholder_wrap(
-            replace(params, initial_queue=(0,) * spec.n_stocks), spec)
+        wrapped = replace(params, initial_queue=(0,) * spec.n_stocks,
+                          placeholder=True)
         traj = run_backtest(spec, wrapped, source, horizon, seed=seed)
         for t in range(traj.n_slots):
             real = traj.real_queue_at(t)

@@ -8,10 +8,9 @@ from lyaptrade import (MarkovPriceModel, PriceTrace, TradeDecision,
                        TraderParams, compute_constants, lookahead_psi,
                        lyapunov, measure_memory_epsilon, run_backtest,
                        run_profit, sample_path_drift, solve_phi_opt,
-                       stationary_distribution, time_avg_profit,
-                       verify_queue_band, verify_slot_optimality,
-                       verify_thm1_profit, verify_thm2_profit, verify_thm3,
-                       verify_tslot_lemma)
+                       stationary_distribution, verify_queue_band,
+                       verify_slot_optimality, verify_thm1_profit,
+                       verify_thm2_profit, verify_thm3, verify_tslot_lemma)
 from lyaptrade.analysis import (FAIL, PASS, VACUOUS, check_frame_drift,
                                 check_one_slot_drift, check_shifted_slot)
 from lyaptrade.errors import StatisticalPowerError, StructuralError
@@ -259,22 +258,6 @@ class TestStatisticalVerifiers:
         # with T=1, eps=0: C1*T/V - B/V = (D - B)/V is the only bound gap
         assert markov.detail["bound"] == pytest.approx(
             iid.detail["bound"] - float((c.C1 - c.B) / 50) - float(c.C2) * 0)
-
-
-class TestTimeAvg:
-    def test_constant_profit(self):
-        mean, ci = time_avg_profit([100, 100, 100])
-        assert (mean, ci) == (1 / 3, 0.0) or mean == pytest.approx(1 / 3)
-
-    def test_single_run(self):
-        traj = run_backtest(one_stock_spec(), TraderParams(V=20),
-                            uniform_two_price(), 100, seed=9)
-        mean, _ = time_avg_profit([traj.cumulative_profit()], 100)
-        assert mean == pytest.approx(traj.cumulative_profit() / 10000)
-
-    def test_zero_trades(self):
-        mean, ci = time_avg_profit([0, 0], 50)
-        assert mean == 0 and ci == 0
 
 
 class TestDriftInequalities:

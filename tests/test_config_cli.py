@@ -8,6 +8,7 @@ import pytest
 
 from lyaptrade import (MarketSpec, StockSpec, config_from_json,
                        config_to_json, enumerate_actions, lookahead_psi)
+from lyaptrade import cli
 from lyaptrade.cli import main
 from lyaptrade.errors import CapacityError, ConfigError
 
@@ -20,6 +21,8 @@ BASE = {
     "horizon": 200,
     "seed": 7,
 }
+MARKOV = {"kind": "markov", "states": [["1.00"], ["2.00"]],
+          "transition": [[0.5, 0.5], [0.5, 0.5]]}
 
 
 def write_config(tmp_path, doc, name="config.json"):
@@ -107,6 +110,9 @@ class TestConfig:
         ({"trader": {"V": "50", "buy_solver": "fastest"}},
          "/trader/buy_solver"),
         ({"trader": {"V": "0"}}, "/trader/V"),
+        ({"trader": {"V": "50", "placeholder": "false"}},
+         "/trader/placeholder"),
+        ({"write_trajectories": "no"}, "/write_trajectories"),
     ], ids=["probs-entry", "row-not-list", "row-sum", "horizon", "seed",
             "replications", "window", "window-zero", "optimality-slots",
             "oracle-window", "scaled-frame", "horizon-fractional",
@@ -114,7 +120,8 @@ class TestConfig:
             "scaled-beta-negative", "mu-max-fractional",
             "share-budget-fractional", "initial-queue-fractional",
             "initial-queue-long", "initial-queue-short", "theta-length",
-            "buy-solver-unknown", "v-not-positive"])
+            "buy-solver-unknown", "v-not-positive",
+            "placeholder-string", "write-trajectories-string"])
     def test_bad_field_located(self, tmp_path, capsys, change, location):
         doc = dict(BASE, **change)
         assert main(["run", "--config", write_config(tmp_path, doc)]) == 5
@@ -232,6 +239,34 @@ class TestRun:
     def test_bad_config_exits_five(self, tmp_path):
         cfg = write_config(tmp_path, {"market": {}})
         assert main(["run", "--config", cfg]) == 5
+
+    @pytest.mark.parametrize("change, location, message", [
+        ({"verify": ["thm1"], "source": MARKOV}, "/verify",
+         "thm1 needs an iid source"),
+        ({"verify": ["thm2"]}, "/verify", "thm2 needs a markov source"),
+        ({"verify": ["thm2"], "source": MARKOV, "horizon": 201}, "/horizon",
+         "horizon must be a multiple of the window"),
+    ], ids=["thm1-not-iid", "thm2-not-markov", "thm2-horizon"])
+    def test_statistical_config_checked_before_any_run(
+            self, tmp_path, capsys, monkeypatch, change, location, message):
+        def no_run(*args, **kwargs):
+            raise AssertionError("a replication ran")
+        monkeypatch.setattr(cli, "run_profit", no_run)
+        monkeypatch.setattr(cli, "run_backtest", no_run)
+        doc = dict(BASE, replications=30, **change)
+        assert main(["run", "--config", write_config(tmp_path, doc)]) == 5
+        assert capsys.readouterr().err == f"config: {location}: {message}\n"
+
+    @pytest.mark.parametrize("command", ["run", "verify", "scaled", "oracle"])
+    def test_bad_placeholder_holdings_exit_five(self, tmp_path, capsys,
+                                                command):
+        doc = dict(BASE, trader={"V": "50", "initial_queue": [103],
+                                 "placeholder": True})
+        extra = ["--trajectory", "x.csv"] if command == "verify" else []
+        assert main([command, "--config", write_config(tmp_path, doc)]
+                    + extra) == 5
+        assert capsys.readouterr().err == \
+            "config: actual holdings 103 outside [0, 102] for stock 0\n"
 
     def test_greedy_with_share_budget_is_located(self, tmp_path, capsys):
         doc = dict(BASE, trader={"V": "50", "buy_solver": "greedy"},
@@ -356,6 +391,37 @@ class TestVerifySubcommand:
                      "--trajectory", str(traj_csv)]) == 5
         err = capsys.readouterr().err
         assert "row 2/mu_1" in err and "'1.5'" in err, err
+
+    @pytest.mark.parametrize("row, edit, message", [
+        (0, lambda cols: ["slot", "p_1", "A_1", "mu_1", "Q_1",
+                          "p_2", "A_2", "mu_2", "Q_2", "profit"],
+         "bad header"),
+        (3, lambda cols: ["7"] + cols[1:],
+         "row 3: slot 7 out of order (expected 2)"),
+        (2, lambda cols: cols[:-1] + ["--5.00"],
+         "row 2: negative price '-5.00'"),
+    ], ids=["interleaved-header", "slot-number", "double-minus"])
+    def test_layout_mismatch_is_a_parse_error(self, tmp_path, capsys, row,
+                                              edit, message):
+        doc = dict(BASE, write_trajectories=True, horizon=20,
+                   verify=["dynamics", "queue_band"],
+                   market={"stocks": [{"mu_max": 1, "p_max": "2.00"}] * 2,
+                           "budget": {"mode": "none"}},
+                   source={"kind": "iid",
+                           "support": [["1.00", "2.00"], ["2.00", "1.00"]],
+                           "probs": [0.5, 0.5]})
+        cfg = write_config(tmp_path, doc)
+        assert main(["run", "--config", cfg,
+                     "--out", str(tmp_path / "out")]) == 0
+        traj_csv = tmp_path / "out" / "trajectory_0.csv"
+        lines = traj_csv.read_text().splitlines()
+        lines[row] = ",".join(edit(lines[row].split(",")))
+        traj_csv.write_text("\n".join(lines) + "\n")
+        capsys.readouterr()
+        assert main(["verify", "--config", cfg,
+                     "--trajectory", str(traj_csv)]) == 5
+        err = capsys.readouterr().err
+        assert err.startswith(f"config: {message}"), err
 
     def test_missing_trajectory_is_located(self, tmp_path, capsys):
         cfg = write_config(tmp_path, dict(BASE, verify=["queue_band"]))

@@ -19,8 +19,7 @@ import pytest
 
 from lyaptrade import (BudgetMode, CostFunction, MarketSpec,
                        MarkovPriceModel, PriceDistribution, PriceTrace,
-                       StockSpec, TraderParams, lookahead_psi, placeholder_wrap,
-                       run_backtest)
+                       StockSpec, TraderParams, lookahead_psi, run_backtest)
 from lyaptrade.analysis import measure_memory_epsilon
 from lyaptrade.cli import main
 from lyaptrade.oracles import drift_rebalance, solve_phi_opt
@@ -74,7 +73,7 @@ CASES = {
         _spec([(LINEAR, LINEAR), (CostFunction(), FIXED)], BudgetMode()),
         TraderParams(V=10), _markov(2, 300), 400, 4),
     "exact_placeholder_trace": (
-        PLACEHOLDER_SPEC, placeholder_wrap(TraderParams(V=8), PLACEHOLDER_SPEC),
+        PLACEHOLDER_SPEC, TraderParams(V=8, placeholder=True),
         _trace(1, 300, 300), 300, 0),
     "greedy_money_trace": (
         _spec([(LINEAR, CostFunction()), (FIXED, LINEAR)],

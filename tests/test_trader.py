@@ -2,6 +2,7 @@
 windowed scaling."""
 
 import io
+import json
 import random
 from dataclasses import replace
 from fractions import Fraction
@@ -11,9 +12,10 @@ import pytest
 from lyaptrade import (BudgetMode, CostFunction, MarketSpec, MarkovPriceModel,
                        PriceDistribution, PriceTrace,
                        StockSpec, TradeDecision, TraderParams, Trajectory,
-                       compute_theta, placeholder_wrap, queue_band,
+                       compute_theta, config_from_json, queue_band,
                        run_backtest, run_profit, scaled_windows_run,
                        startup_cost, validate_decision)
+from lyaptrade.cli import main
 from lyaptrade.errors import ConfigError, StructuralError
 from lyaptrade.trader import SlotSolver, _slots
 
@@ -539,17 +541,18 @@ class TestRuns:
 class TestPlaceholder:
     def test_zero_holdings_start_at_band_floor(self):
         spec = one_stock_spec(mu_max=2)
-        wrapped = placeholder_wrap(TraderParams(V=50), spec)
-        assert wrapped.initial_queue == (2,) and wrapped.placeholder
+        params = TraderParams(V=50, placeholder=True)
+        assert params.resolved_initial_queue(spec) == (2,)
 
     def test_out_of_band_holdings_rejected(self):
         spec = one_stock_spec(mu_max=1, p_max_cents=100)
-        with pytest.raises(StructuralError):
-            placeholder_wrap(TraderParams(V=1, initial_queue=(100,)), spec)
+        params = TraderParams(V=1, initial_queue=(100,), placeholder=True)
+        with pytest.raises(StructuralError, match=r"outside \[0, 3\]"):
+            params.resolved_initial_queue(spec)
 
     def test_fake_shares_never_sold(self):
         spec = one_stock_spec(mu_max=2)
-        params = placeholder_wrap(TraderParams(V=20), spec)
+        params = TraderParams(V=20, placeholder=True)
         traj = run_backtest(spec, params, uniform_two_price(), 2000, seed=6)
         for t in range(traj.n_slots):
             real = traj.real_queue_at(t)
@@ -560,11 +563,38 @@ class TestPlaceholder:
         spec = one_stock_spec(mu_max=2)
         plain = run_backtest(spec, TraderParams(V=20), uniform_two_price(),
                              500, seed=8)
-        wrapped = run_backtest(spec, placeholder_wrap(TraderParams(V=20),
-                                                      spec),
+        wrapped = run_backtest(spec, TraderParams(V=20, placeholder=True),
                                uniform_two_price(), 500, seed=8)
         assert wrapped.cumulative_profit() == plain.cumulative_profit()
         assert startup_cost(spec, plain.prices[0]) > 0
+
+    def test_actual_holdings_in_library_and_cli(self, tmp_path):
+        # initial_queue holds the actual shares in both; the fake ones
+        # are added on top, so the real holdings never go negative.
+        doc = {"market": {"stocks": [{"mu_max": 2, "p_max": "3.00"},
+                                     {"mu_max": 1, "p_max": "2.00"}],
+                          "budget": {"mode": "none"}},
+               "trader": {"V": "20", "initial_queue": [1, 0],
+                          "placeholder": True},
+               "source": {"kind": "iid",
+                          "support": [["1.00", "2.00"], ["3.00", "0.50"]],
+                          "probs": ["1/2", "1/2"]},
+               "horizon": 300, "seed": 5, "write_trajectories": True}
+        cfg = config_from_json(doc)
+        traj = run_backtest(cfg.market,
+                            TraderParams(V=20, initial_queue=(1, 0),
+                                         placeholder=True),
+                            cfg.source.dist, 300, seed=5)
+        assert traj.queue_at(0) == (3, 1)
+        assert all(min(traj.real_queue_at(t)) >= 0
+                   for t in range(traj.n_slots + 1))
+        (tmp_path / "config.json").write_text(json.dumps(doc))
+        assert main(["run", "--config", str(tmp_path / "config.json"),
+                     "--out", str(tmp_path / "out")]) == 0
+        buf = io.StringIO()
+        traj.to_csv(buf)
+        assert (tmp_path / "out" / "trajectory_0.csv").read_text() \
+            == buf.getvalue()
 
 
 class TestScaledWindows:
