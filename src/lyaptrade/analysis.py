@@ -11,6 +11,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import compress
+from operator import itemgetter, sub
 
 from .errors import StatisticalPowerError, StructuralError
 from .market import MarketSpec, TradeDecision, slot_profit, validate_decision
@@ -101,42 +103,42 @@ def _int_gt_threshold(thr: Fraction) -> int:
 
 def verify_queue_band(traj: Trajectory) -> BoundReport:
     """Deterministic operating band plus the no-sell-below / no-buy-above
-    event checks, exact on every slot."""
+    event checks, exact on every slot, one stock column at a time.  In a
+    slot, every stock's events come before the band; a pass is located
+    at the first (slot, stock) of least slack."""
     spec, params = traj.spec, traj.params
-    theta = params.resolved_theta(spec)
-    V = params.V
-    n = spec.n_stocks
-    band = queue_band(spec, params)
-    lo = [low for low, _ in band]
-    hi = [math.floor(high) for _, high in band]
-    sell_thr = [_int_lt_threshold(theta[i] - V * cents_to_units(s.p_max))
-                for i, s in enumerate(spec.stocks)]
-    buy_thr = [_int_gt_threshold(theta[i]) for i in range(n)]
-    worst = math.inf
-    locus = None
-    q = traj.initial_queue
-    for i in range(n):
-        if not lo[i] <= q[i] <= hi[i]:
+    fails, slacks = [], []
+    for i, (q, mu, a, s, th, (low, high)) in enumerate(zip(
+            *traj.columns(), spec.stocks, params.resolved_theta(spec),
+            queue_band(spec, params))):
+        high = math.floor(high)
+        s_thr = _int_lt_threshold(th - params.V * cents_to_units(s.p_max))
+        b_thr = _int_gt_threshold(th)
+        if not low <= q[0] <= high:
             return BoundReport(FAIL, -1.0, ("initial", i),
-                               {"check": "band", "queue": q[i]})
-    for t in range(traj.n_slots):
-        sells = traj.sells[t]
-        buys = traj.buys[t]
-        for i in range(n):
-            if q[i] <= sell_thr[i] and sells[i] != 0:
-                return BoundReport(FAIL, -1.0, (t, i),
-                                   {"check": "sell_below_threshold"})
-            if q[i] >= buy_thr[i] and buys[i] != 0:
-                return BoundReport(FAIL, -1.0, (t, i),
-                                   {"check": "buy_above_target"})
-        q = traj.queues[t]
-        for i in range(n):
-            if not lo[i] <= q[i] <= hi[i]:
-                return BoundReport(FAIL, -1.0, (t, i),
-                                   {"check": "band", "queue": q[i]})
-            slack = min(q[i] - lo[i], hi[i] - q[i])
-            if slack < worst:
-                worst, locus = slack, (t, i)
+                               {"check": "band", "queue": q[0]})
+        if min(compress(q, mu), default=s_thr + 1) <= s_thr:
+            t = next(t for t, (v, m) in enumerate(zip(q, mu))
+                     if m and v <= s_thr)
+            fails.append(((t, 0, i, 0), {"check": "sell_below_threshold"}))
+        if max(compress(q, a), default=b_thr - 1) >= b_thr:
+            t = next(t for t, (v, b) in enumerate(zip(q, a))
+                     if b and v >= b_thr)
+            fails.append(((t, 0, i, 1), {"check": "buy_above_target"}))
+        after = q[1:]
+        slack = min(min(after, default=low) - low,
+                    high - max(after, default=high))
+        if slack < 0:
+            t = next(t for t, v in enumerate(after) if not low <= v <= high)
+            fails.append(((t, 1, i), {"check": "band", "queue": after[t]}))
+        elif after:
+            t = min(after.index(v) for v in (low + slack, high - slack)
+                    if v in after)
+            slacks.append((slack, (t, i)))
+    if fails:
+        key, detail = min(fails, key=itemgetter(0))
+        return BoundReport(FAIL, -1.0, (key[0], key[2]), detail)
+    worst, locus = min(slacks, default=(math.inf, None))
     detail = {"check": "band",
               "conforming": params.theta_conforms(spec) and
               params.initial_conforms(spec)}
@@ -316,27 +318,23 @@ def check_frame_drift(traj: Trajectory, window: int) -> int | None:
 
     With S the lcm of θ's denominators and x_n = S·Q_n - S·θ_n, twice
     S² times the bound is Σx_end² - Σx_0² <= (T² + 1)·S²·Σmu_n² -
-    2S·Σx_0,n·net_n, so one pass in plain integers checks every frame."""
+    2S·Σx_0,n·net_n: plain integer terms per stock column and frame."""
     if window < 1:
         raise StructuralError("window must be a positive integer")
     theta = traj.params.resolved_theta(traj.spec)
     S = math.lcm(*(t.denominator for t in theta))
-    theta_s = [int(t * S) for t in theta]
     const = (window * window + 1) * S * S \
         * sum(s.mu_max ** 2 for s in traj.spec.stocks)
-    x0 = [S * q - ts for q, ts in zip(traj.initial_queue, theta_s)]
-    net = [0] * len(x0)
-    slots = zip(traj.sells, traj.buys, traj.queues)
-    for t, (sells, buys, queue) in enumerate(slots, 1):
-        net = [v + s - b for v, s, b in zip(net, sells, buys)]
-        if t % window:
-            continue
-        x1 = [S * q - ts for q, ts in zip(queue, theta_s)]
-        lhs = sum(x * x for x in x1) - sum(x * x for x in x0)
-        if lhs > const - 2 * S * sum(x * v for x, v in zip(x0, net)):
-            return t - window
-        x0, net = x1, [0] * len(x0)
-    return None
+    terms = []
+    for q, mu, a, ts in zip(*traj.columns(), (int(t * S) for t in theta)):
+        x = [S * v - ts for v in q[::window]]
+        net = map(sum, zip(*[iter(map(sub, mu, a))] * window))
+        terms.append([x1 * x1 - x0 * x0 + 2 * S * x0 * d
+                      for x0, x1, d in zip(x, x[1:], net)])
+    lhs = list(map(sum, zip(*terms)))
+    if max(lhs, default=const) <= const:
+        return None
+    return next(m for m, v in enumerate(lhs) if v > const) * window
 
 
 def check_shifted_slot(traj: Trajectory, t0: int, tau: int,

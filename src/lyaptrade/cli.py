@@ -377,6 +377,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    # No command calls BLAS: spare numpy's spinning OpenBLAS thread.
+    os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
     args = build_parser().parse_args(argv)
     try:
         cfg = load_config(args.config)

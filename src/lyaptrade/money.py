@@ -31,6 +31,8 @@ def to_cents(value, *, what="money value"):
             dec = Decimal(str(value))
         except InvalidOperation as exc:
             raise ParseError(f"{what}: cannot parse {value!r}") from exc
+    if not dec.is_finite():
+        raise ParseError(f"{what}: {value!r} is not a finite amount")
     cents = dec * CENTS_PER_UNIT
     if cents != cents.to_integral_value():
         raise ParseError(f"{what}: {value!r} has sub-cent precision")

@@ -305,19 +305,15 @@ def brute_force_slot_min(params: TraderParams, spec: MarketSpec,
     the per-slot optimality checks compare against.  Ties prefer the
     smaller trade, then the lower stock index.
 
-    Every cost is 0 at 0 shares, so a pair's objective is that of its
-    sells with no buys plus that of its buys with no sells: each side is
-    scored once and every pair is compared by the sum."""
+    Every cost is 0 at 0 shares, so a pair's objective and share count
+    are sums over its sides, and sells lead sells + buys at fixed length:
+    the least pair joins each side's least (objective, shares, vector)."""
     prices = spec.check_prices(prices)
     score = SlotSolver(spec, params).scaled_objective
     buy_set, sell_set = _feasible(spec, prices, queue)
     zero = (0,) * spec.n_stocks
-    sell_scores = [(score(prices, queue, sells, zero), sum(sells), sells)
-                   for sells in sell_set]
-    buy_scores = [(score(prices, queue, zero, buys), sum(buys), buys)
-                  for buys in buy_set]
-    _, _, both = min((vs + vb, ts + tb, sells + buys)
-                     for vb, tb, buys in buy_scores
-                     for vs, ts, sells in sell_scores)
-    n = spec.n_stocks
-    return TradeDecision(both[n:], both[:n])
+    _, _, sells = min((score(prices, queue, sells, zero), sum(sells), sells)
+                      for sells in sell_set)
+    _, _, buys = min((score(prices, queue, zero, buys), sum(buys), buys)
+                     for buys in buy_set)
+    return TradeDecision(buys, sells)

@@ -198,6 +198,8 @@ def _parse_price_cell(cell: str, row: int) -> int:
         dec = Decimal(cell)
     except InvalidOperation as exc:
         raise ParseError(f"bad price {cell!r}", row=row) from exc
+    if not dec.is_finite():
+        raise ParseError(f"non-finite price {cell!r}", row=row)
     if dec < 0:
         raise ParseError(f"negative price {cell!r}", row=row)
     cents = dec * 100

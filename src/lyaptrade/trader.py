@@ -20,7 +20,7 @@ import math
 import os
 from dataclasses import dataclass, field
 from fractions import Fraction
-from operator import mul
+from operator import add, itemgetter, mul, sub
 
 from .errors import CapacityError, ConfigError, StructuralError
 from .market import MarketSpec
@@ -414,14 +414,34 @@ class Trajectory:
             return q
         return tuple(v - s.mu_max for v, s in zip(q, self.spec.stocks))
 
+    def columns(self) -> tuple:
+        """(queues, sells, buys) per stock, queues[n][t] at the start of
+        slot t <= n_slots; built afresh, as a book may be edited after its
+        run.  A row count or width that does not fit is a StructuralError."""
+        n, q0 = self.spec.n_stocks, self.initial_queue
+        if len(q0) != n:
+            raise StructuralError(f"initial queue has {len(q0)} entries")
+        for name, rows in (("queue", self.queues), ("sell", self.sells),
+                           ("buy", self.buys)):
+            if len(rows) != self.n_slots or set(map(len, rows)) - {n}:
+                t = next((t for t, r in enumerate(rows) if len(r) != n), None)
+                raise StructuralError(
+                    f"{len(rows)} {name} rows for {self.n_slots} slots"
+                    if t is None else f"slot {t}: {name} row has "
+                    f"{len(rows[t])} entries, expected {n}")
+        return tuple([list(map(itemgetter(i), rows)) for i in range(n)]
+                     for rows in ([q0, *self.queues], self.sells, self.buys))
+
     def check_dynamics(self):
-        q = self.initial_queue
-        for t in range(self.n_slots):
-            expected = tuple(max(v - m + a, 0)
-                             for v, m, a in zip(q, self.sells[t], self.buys[t]))
-            if expected != self.queues[t]:
-                raise StructuralError(f"queue dynamics violated at slot {t}")
-            q = self.queues[t]
+        """Q(t+1) = max(Q(t) - mu(t) + A(t), 0) on every slot, exact."""
+        bad = []
+        for q, mu, a in zip(*self.columns()):
+            sums = list(map(add, map(sub, q, mu), a))
+            if sums != q[1:] or min(sums, default=0) < 0:
+                bad += (t for t, (x, y) in enumerate(zip(sums, q[1:]))
+                        if max(x, 0) != y)
+        if bad:
+            raise StructuralError(f"queue dynamics violated at slot {min(bad)}")
 
     def to_csv(self, stream):
         writer = csv.writer(stream, lineterminator="\n")

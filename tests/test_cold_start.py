@@ -10,6 +10,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 import lyaptrade
 
 SRC = str(Path(lyaptrade.__file__).resolve().parent.parent)
@@ -21,9 +23,10 @@ ROWS = ["0,1.00,3.00", "1,2.00,1.50", "2,0.50,2.00", "3,1.50,0.00",
         "4,2.00,2.50", "5,1.00,1.00", "6,0.00,3.00", "7,1.00,0.50"]
 
 
-def loaded_after(tmp_path, body: str) -> dict:
-    """Run `body` in a fresh interpreter; report which of numpy and the
-    process pool it left in sys.modules, and what it stored in `out`."""
+def loaded_after(tmp_path, body: str, blas=None) -> dict:
+    """Run `body` in a fresh interpreter, with OPENBLAS_NUM_THREADS set
+    to `blas` or unset; report which of numpy and the process pool it
+    left in sys.modules, and what it stored in `out`."""
     script = "\n".join([
         "import json, sys",
         "out = {}",
@@ -33,6 +36,9 @@ def loaded_after(tmp_path, body: str) -> dict:
         "print(json.dumps(out))",
     ])
     env = dict(os.environ)
+    env.pop("OPENBLAS_NUM_THREADS", None)
+    if blas is not None:
+        env["OPENBLAS_NUM_THREADS"] = blas
     env["PYTHONPATH"] = os.pathsep.join(
         [SRC] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
     proc = subprocess.run([sys.executable, "-c", script], cwd=tmp_path,
@@ -87,13 +93,34 @@ def test_trace_convert_loads_no_numpy(tmp_path):
     assert out["numpy"] is False
 
 
-def test_random_source_loads_numpy_before_the_pool(tmp_path):
+def iid_config(tmp_path) -> str:
     doc = {"market": MARKET, "trader": {"V": "50"},
            "source": {"kind": "iid", "support": [["1.00", "3.00"],
                                                  ["2.00", "0.50"]],
                       "probs": [0.5, 0.5]},
            "horizon": 50, "replications": 2, "seed": 1}
     (tmp_path / "config.json").write_text(json.dumps(doc))
+    return "config.json"
+
+
+@pytest.mark.parametrize("preset, expected", [(None, "1"), ("2", "2")],
+                         ids=["default", "user-value"])
+def test_cli_runs_numpy_without_a_blas_thread(tmp_path, preset, expected):
+    body = cli_main("run", "--config", iid_config(tmp_path), "--out", "out") \
+        + ("\nimport os\n"
+           "out['blas'] = os.environ.get('OPENBLAS_NUM_THREADS')\n"
+           "task = '/proc/self/task'\n"
+           "out['threads'] = len(os.listdir(task)) "
+           "if os.path.isdir(task) else None\n")
+    out = loaded_after(tmp_path, body, blas=preset)
+    assert out["code"] == 0 and out["numpy"] is True
+    assert out["blas"] == expected
+    if preset is None and sys.platform.startswith("linux"):
+        assert out["threads"] == 1
+
+
+def test_random_source_loads_numpy_before_the_pool(tmp_path):
+    iid_config(tmp_path)
     record = (
         "import concurrent.futures as cf\n"
         "Pool = cf.ProcessPoolExecutor\n"

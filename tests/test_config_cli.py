@@ -21,6 +21,7 @@ BASE = {
     "horizon": 200,
     "seed": 7,
 }
+NON_FINITE = ("NaN", "sNaN", "Infinity", "-Infinity")
 MARKOV = {"kind": "markov", "states": [["1.00"], ["2.00"]],
           "transition": [[0.5, 0.5], [0.5, 0.5]]}
 
@@ -128,6 +129,15 @@ class TestConfig:
         err = capsys.readouterr().err
         assert err.startswith(f"config: {location}: ")
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize("value", NON_FINITE)
+    def test_non_finite_money_is_located(self, tmp_path, capsys, value):
+        doc = dict(BASE, market={"stocks": [{"mu_max": 1, "p_max": value}],
+                                 "budget": {"mode": "none"}})
+        assert main(["run", "--config", write_config(tmp_path, doc)]) == 5
+        err = capsys.readouterr().err
+        assert err.startswith(f"config: /market: stocks[0].p_max: "
+                              f"{value!r} is not a finite amount"), err
 
     def test_integer_forms_accepted(self):
         cfg = config_from_json(dict(BASE, horizon="10", seed=3.0,
@@ -392,6 +402,23 @@ class TestVerifySubcommand:
         err = capsys.readouterr().err
         assert "row 2/mu_1" in err and "'1.5'" in err, err
 
+    @pytest.mark.parametrize("value", NON_FINITE)
+    def test_non_finite_price_cell_is_located(self, tmp_path, capsys, value):
+        doc = dict(BASE, write_trajectories=True, horizon=20,
+                   verify=["dynamics"])
+        cfg = write_config(tmp_path, doc)
+        main(["run", "--config", cfg, "--out", str(tmp_path / "out")])
+        traj_csv = tmp_path / "out" / "trajectory_0.csv"
+        lines = traj_csv.read_text().splitlines()
+        lines[2] = ",".join(["1", value] + lines[2].split(",")[2:])
+        traj_csv.write_text("\n".join(lines) + "\n")
+        capsys.readouterr()
+        assert main(["verify", "--config", cfg,
+                     "--trajectory", str(traj_csv)]) == 5
+        err = capsys.readouterr().err
+        assert err.startswith(f"config: row 2: non-finite price {value!r}"), \
+            err
+
     @pytest.mark.parametrize("row, edit, message", [
         (0, lambda cols: ["slot", "p_1", "A_1", "mu_1", "Q_1",
                           "p_2", "A_2", "mu_2", "Q_2", "profit"],
@@ -518,6 +545,17 @@ class TestTraceConvert:
         doc = dict(BASE, source={"kind": "trace", "path": str(trace)})
         assert main(["trace-convert", "--config", write_config(tmp_path, doc),
                      "--input", str(trace)]) == 5
+
+    @pytest.mark.parametrize("value", NON_FINITE)
+    def test_non_finite_price_is_located(self, tmp_path, capsys, value):
+        trace = tmp_path / "trace.csv"
+        trace.write_text(f"slot,p_1\n0,1.00\n1,{value}\n")
+        doc = dict(BASE, source={"kind": "trace", "path": str(trace)})
+        assert main(["trace-convert", "--config", write_config(tmp_path, doc),
+                     "--input", str(trace)]) == 5
+        err = capsys.readouterr().err
+        assert err.startswith(f"config: row 2: non-finite price {value!r}"), \
+            err
 
     def test_missing_input_is_located(self, tmp_path, capsys):
         missing = str(tmp_path / "missing.csv")

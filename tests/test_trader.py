@@ -537,6 +537,31 @@ class TestRuns:
         with pytest.raises(StructuralError):
             traj.check_dynamics()
 
+    @pytest.mark.parametrize("book", ["queues", "sells", "buys"])
+    @pytest.mark.parametrize("width", [1, 3])
+    def test_row_of_wrong_width_names_its_slot(self, book, width):
+        # Per-stock columns would cut every row to the shortest one.
+        from lyaptrade.analysis import check_frame_drift, verify_queue_band
+        spec = MarketSpec((StockSpec(0, 1, 200), StockSpec(1, 1, 200)))
+        trace = PriceTrace(tuple((50 * (t % 4), 60) for t in range(30)))
+        checks = (lambda traj: traj.check_dynamics(), verify_queue_band,
+                  lambda traj: check_frame_drift(traj, 4))
+        for check in checks:
+            traj = run_backtest(spec, TraderParams(V=50), trace, 30)
+            getattr(traj, book)[12] = (0,) * width
+            with pytest.raises(StructuralError,
+                               match=f"^slot 12: {book[:-1]} row has "
+                                     f"{width} entries, expected 2$"):
+                check(traj)
+            del getattr(traj, book)[12:]
+            with pytest.raises(StructuralError,
+                               match=f"^12 {book[:-1]} rows for 30 slots$"):
+                check(traj)
+            traj.initial_queue = (1,)
+            with pytest.raises(StructuralError,
+                               match="^initial queue has 1 entries$"):
+                check(traj)
+
 
 class TestPlaceholder:
     def test_zero_holdings_start_at_band_floor(self):
