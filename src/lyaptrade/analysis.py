@@ -101,15 +101,17 @@ def _int_gt_threshold(thr: Fraction) -> int:
     return math.floor(thr) + 1
 
 
-def verify_queue_band(traj: Trajectory) -> BoundReport:
+def verify_queue_band(traj: Trajectory, columns=None) -> BoundReport:
     """Deterministic operating band plus the no-sell-below / no-buy-above
-    event checks, exact on every slot, one stock column at a time.  In a
-    slot, every stock's events come before the band; a pass is located
-    at the first (slot, stock) of least slack."""
+    event checks, exact on every slot, one stock column of `columns` (the
+    book's own unless given) at a time.  In a slot, every stock's events
+    come before the band; a pass is located at the first (slot, stock) of
+    least slack."""
     spec, params = traj.spec, traj.params
     fails, slacks = [], []
     for i, (q, mu, a, s, th, (low, high)) in enumerate(zip(
-            *traj.columns(), spec.stocks, params.resolved_theta(spec),
+            *(columns or traj.columns()), spec.stocks,
+            params.resolved_theta(spec),
             queue_band(spec, params))):
         high = math.floor(high)
         s_thr = _int_lt_threshold(th - params.V * cents_to_units(s.p_max))
@@ -311,10 +313,11 @@ def check_one_slot_drift(traj: Trajectory, t: int) -> bool:
     return drift <= rhs
 
 
-def check_frame_drift(traj: Trajectory, window: int) -> int | None:
+def check_frame_drift(traj: Trajectory, window: int,
+                      columns=None) -> int | None:
     """T-slot drift bound ΔL <= B̃T² - Σ(Q_n(t0) - θ_n)·net_n on every
     full frame t0 = 0, T, 2T, ..., exact; the start t0 of the first frame
-    that fails, or None when every frame holds.
+    that fails, or None when every frame holds, over `columns` if given.
 
     With S the lcm of θ's denominators and x_n = S·Q_n - S·θ_n, twice
     S² times the bound is Σx_end² - Σx_0² <= (T² + 1)·S²·Σmu_n² -
@@ -326,7 +329,8 @@ def check_frame_drift(traj: Trajectory, window: int) -> int | None:
     const = (window * window + 1) * S * S \
         * sum(s.mu_max ** 2 for s in traj.spec.stocks)
     terms = []
-    for q, mu, a, ts in zip(*traj.columns(), (int(t * S) for t in theta)):
+    for q, mu, a, ts in zip(*(columns or traj.columns()),
+                            (int(t * S) for t in theta)):
         x = [S * v - ts for v in q[::window]]
         net = map(sum, zip(*[iter(map(sub, mu, a))] * window))
         terms.append([x1 * x1 - x0 * x0 + 2 * S * x0 * d

@@ -73,36 +73,46 @@ def _run_block(spec, params, source, horizon, seed, records, reps):
                     solver=solver)) for r in reps]
 
 
-def _dynamics_report(traj: Trajectory, rep: int) -> BoundReport:
+def _dynamics_report(traj: Trajectory, rep: int, columns=None):
+    """A book's dynamics report and its columns (None on a FAIL)."""
     try:
-        traj.check_dynamics()
+        columns = columns or traj.columns()
+        traj.check_dynamics(columns)
     except StructuralError as exc:
         return BoundReport(FAIL, -1.0, rep,
-                           {"check": "dynamics", "error": str(exc)})
-    return BoundReport(PASS, detail={"check": "dynamics"})
+                           {"check": "dynamics", "error": str(exc)}), None
+    return BoundReport(PASS, detail={"check": "dynamics"}), columns
 
 
-def _deterministic_checks(cfg, spec, params, traj: Trajectory, rep: int):
+def _deterministic_checks(cfg, spec, params, traj: Trajectory, rep: int,
+                          dynamics=None, columns=None):
+    """The configured checks of one book, over columns built once."""
+    if columns is None and {"dynamics", "queue_band", "frame_drift"} \
+            & set(cfg.verify):
+        columns = traj.columns()
     reports = {}
     for name in cfg.verify:
         if name == "dynamics":
-            reports[name] = _dynamics_report(traj, rep)
+            reports[name] = dynamics or _dynamics_report(traj, rep,
+                                                         columns)[0]
         elif name == "queue_band":
-            reports[name] = verify_queue_band(traj)
+            reports[name] = verify_queue_band(traj, columns)
         elif name == "slot_optimality":
             k = int(cfg.options.get("optimality_slots", 50))
             rng = make_rng(cfg.seed, 10 ** 6 + rep)
             slots = sorted(set(
                 int(t) for t in rng.integers(0, traj.n_slots, size=k)))
+            scorer = SlotSolver(spec, params)
             alts = []
             for t in slots:
                 alts.append((t, brute_force_slot_min(
-                    params, spec, traj.prices[t], traj.queue_at(t))))
+                    params, spec, traj.prices[t], traj.queue_at(t),
+                    solver=scorer)))
                 alts.append((t, TradeDecision.zero(spec.n_stocks)))
             reports[name] = verify_slot_optimality(traj, alts)
         elif name == "frame_drift":
             T = int(cfg.options.get("window", 4))
-            t0 = check_frame_drift(traj, T)
+            t0 = check_frame_drift(traj, T, columns)
             detail = {"check": "frame_drift", "window": T}
             reports[name] = BoundReport(PASS, 0.0, rep, detail) if t0 is None \
                 else BoundReport(FAIL, -1.0, {"rep": rep, "t0": t0}, detail)
@@ -289,9 +299,9 @@ def cmd_verify(cfg: ExperimentConfig, trajectory_path, out_dir) -> int:
         traj = Trajectory.from_csv(fh, spec, params)
     # The other checks assume the queue recursion holds, so a trajectory
     # that breaks it is reported as a dynamics failure alone.
-    dynamics = _dynamics_report(traj, 0)
-    reports = _deterministic_checks(cfg, spec, params, traj, 0) \
-        if dynamics.ok else {"dynamics": dynamics}
+    dynamics, columns = _dynamics_report(traj, 0)
+    reports = {"dynamics": dynamics} if not dynamics.ok else \
+        _deterministic_checks(cfg, spec, params, traj, 0, dynamics, columns)
     body = {"reports": {k: v.to_json() for k, v in reports.items()}}
     _emit(_bundle(cfg, body), out_dir)
     return _exit_for(reports)

@@ -299,17 +299,19 @@ def lookahead_psi(spec: MarketSpec, window) -> LookaheadResult:
 
 
 def brute_force_slot_min(params: TraderParams, spec: MarketSpec,
-                         prices, queue) -> TradeDecision:
+                         prices, queue, *,
+                         solver: SlotSolver | None = None) -> TradeDecision:
     """Exhaustive minimizer of the per-slot trading objective over the
     full joint feasible set (ownership included); the independent oracle
     the per-slot optimality checks compare against.  Ties prefer the
-    smaller trade, then the lower stock index.
+    smaller trade, then the lower stock index.  A solver built for
+    (spec, params) may be passed to score with.
 
     Every cost is 0 at 0 shares, so a pair's objective and share count
     are sums over its sides, and sells lead sells + buys at fixed length:
     the least pair joins each side's least (objective, shares, vector)."""
     prices = spec.check_prices(prices)
-    score = SlotSolver(spec, params).scaled_objective
+    score = (solver or SlotSolver(spec, params)).scaled_objective
     buy_set, sell_set = _feasible(spec, prices, queue)
     zero = (0,) * spec.n_stocks
     _, _, sells = min((score(prices, queue, sells, zero), sum(sells), sells)

@@ -17,7 +17,6 @@ from typing import TYPE_CHECKING
 from .errors import ConfigError, ParseError, StructuralError
 from .market import MarketSpec
 from .money import _as_fraction, cents_to_str
-from .simplex import EQ, solve_lp
 
 if TYPE_CHECKING:
     import numpy as np
@@ -180,6 +179,8 @@ def markov_state_sequence(model: MarkovPriceModel, start: int, horizon: int,
 def stationary_distribution(model: MarkovPriceModel) -> PriceDistribution:
     """Unique stationary distribution, solved exactly from pi (P - I) = 0,
     sum(pi) = 1 by the rational simplex; states sharing a price merged."""
+    from .simplex import EQ, solve_lp
+
     k = model.n_states
     P = model.transition
     balance = [([P[i][j] - (i == j) for i in range(k)], EQ, 0)

@@ -20,7 +20,7 @@ import math
 import os
 from dataclasses import dataclass, field
 from fractions import Fraction
-from operator import add, itemgetter, mul, sub
+from operator import add, itemgetter, sub
 
 from .errors import CapacityError, ConfigError, StructuralError
 from .market import MarketSpec
@@ -160,6 +160,9 @@ class SlotSolver:
         self.buy_cost = tuple(tuple(s.buy_cost(a) for a in range(s.mu_max + 1))
                               for s in spec.stocks)
         self.budget = spec.budget
+        # No price moves the budget's limit; greedy decides every slot.
+        self.slack_limit = None if params.buy_solver == "greedy" \
+            else self.budget.purchase_rule(())[1]
         self.cap = capacity_cells()
         self.memo: dict = {}
         self.tables = tuple({} for _ in spec.stocks)
@@ -189,12 +192,13 @@ class SlotSolver:
         return out
 
     def _entry(self, n, key) -> tuple:
-        """Store and return stock n's entry at key = (q, p).  The options
-        are (a, w*a + k*cost(a)) for each quantity a whose term is strictly
-        below that of every smaller quantity.  Any other quantity costs
-        more and holds more shares for no gain, so no lexicographic optimum
-        uses it; the last option is the per-stock minimiser (lowest a on
-        ties)."""
+        """Store and return stock n's entry at key = (q, p): its sell
+        quantity, buy coefficient w and options, then the per-stock
+        minimiser a with its budget use, next queue and profit cents.  The
+        options are (a, w*a + k*cost(a)) for each quantity a whose term is
+        strictly below that of every smaller quantity.  Any other quantity
+        costs more and holds more shares for no gain, so no lexicographic
+        optimum uses it; the last option is a (lowest on ties)."""
         q, p = key
         k = self.k
         w = self.scale * q - self.thetaS[n] + k * p
@@ -207,7 +211,11 @@ class SlotSolver:
                 best = val
                 options.append((a, val))
         mu = self._sell_qty(n, w, p, min(q, self.mu_max[n]))
-        entry = self.tables[n][key] = (mu, w, tuple(options))
+        a = options[-1][0]
+        (size,), _ = self.budget.purchase_rule((p,))
+        entry = self.tables[n][key] = (
+            mu, w, tuple(options), a, size * a, max(q - mu + a, 0),
+            (mu - a) * p - self.sell_cost[n][mu] - table[a])
         return entry
 
     def _sell_qty(self, n, w, p, hi) -> int:
@@ -233,27 +241,18 @@ class SlotSolver:
 
     # Kept as a wrap point of perfbench/tracing.py; step does not call it.
     def buy(self, prices, queue) -> tuple:
-        return self._pick(self, self._entries(prices, queue), prices)
+        return self.step(prices, queue)[1]
 
     def _exact(self, entries, prices) -> tuple:
         """Lexicographic minimum of (objective, total shares, buy vector)
         subject to the budget's purchase rule, sum_n sizes[n] * a_n <=
-        limit.
-
-        The objective is separable, so when the per-stock minimisers fit
-        the budget they are that minimum: any vector reaching the same
-        objective uses a per-stock minimum in every stock, hence holds at
-        least as many shares.  With no budget they always fit.  Otherwise
-        a dict-keyed DP over the budget used runs on the undominated
+        limit, by a dict-keyed DP over the budget used on the undominated
         quantities of each stock only."""
         sizes, limit = self.budget.purchase_rule(prices)
-        best = tuple([e[2][-1][0] for e in entries])
-        if sum(map(mul, best, sizes)) <= limit:
-            return best
         cap = self.cap
         work = 0
         dp = {0: (0, 0, ())}
-        for (_, _, opts), z in zip(entries, sizes):
+        for (_, _, opts, *_), z in zip(entries, sizes):
             new: dict = {}
             for used, (obj, shares, vec) in dp.items():
                 for a, term in opts:
@@ -342,9 +341,17 @@ class SlotSolver:
 
     def step(self, prices, queue) -> tuple:
         """One slot of the policy: (sells, buys, profit cents, next queue),
-        the queue advancing by Q <- max(Q - mu + A, 0)."""
+        the queue advancing by Q <- max(Q - mu + A, 0).
+
+        The objective is separable, so when the per-stock minimisers fit
+        the budget (always, with none) they are the exact solver's
+        minimum: any vector reaching the same objective uses a per-stock
+        minimum in every stock, hence holds at least as many shares.  Such
+        a slot is put together from the minimisers' table records."""
         entries = self._entries(prices, queue)
-        sells = tuple([e[0] for e in entries])
+        sells, _, _, buys, spend, nq, profits = zip(*entries)
+        if self.slack_limit is not None and sum(spend) <= self.slack_limit:
+            return sells, buys, sum(profits), nq
         buys = self._pick(self, entries, prices)
         nq = tuple([v - m + a if v - m + a > 0 else 0
                     for v, m, a in zip(queue, sells, buys)])
@@ -432,10 +439,11 @@ class Trajectory:
         return tuple([list(map(itemgetter(i), rows)) for i in range(n)]
                      for rows in ([q0, *self.queues], self.sells, self.buys))
 
-    def check_dynamics(self):
-        """Q(t+1) = max(Q(t) - mu(t) + A(t), 0) on every slot, exact."""
+    def check_dynamics(self, columns=None):
+        """Q(t+1) = max(Q(t) - mu(t) + A(t), 0) on every slot, exact;
+        `columns`, when given, are this book's `columns()`."""
         bad = []
-        for q, mu, a in zip(*self.columns()):
+        for q, mu, a in zip(*(columns or self.columns())):
             sums = list(map(add, map(sub, q, mu), a))
             if sums != q[1:] or min(sums, default=0) < 0:
                 bad += (t for t, (x, y) in enumerate(zip(sums, q[1:]))

@@ -1,7 +1,8 @@
-"""What a command loads: numpy and the process pool only when it uses them.
+"""What a command loads: numpy, the process pool and the rational simplex
+only when it uses them.
 
 Each case runs in a fresh interpreter, since this one has long since
-imported both.
+imported all three.
 """
 
 import json
@@ -25,14 +26,15 @@ ROWS = ["0,1.00,3.00", "1,2.00,1.50", "2,0.50,2.00", "3,1.50,0.00",
 
 def loaded_after(tmp_path, body: str, blas=None) -> dict:
     """Run `body` in a fresh interpreter, with OPENBLAS_NUM_THREADS set
-    to `blas` or unset; report which of numpy and the process pool it
-    left in sys.modules, and what it stored in `out`."""
+    to `blas` or unset; report which of numpy, the process pool and the
+    simplex it left in sys.modules, and what it stored in `out`."""
     script = "\n".join([
         "import json, sys",
         "out = {}",
         body,
         "out['numpy'] = 'numpy' in sys.modules",
         "out['pool'] = 'concurrent.futures.process' in sys.modules",
+        "out['simplex'] = 'lyaptrade.simplex' in sys.modules",
         "print(json.dumps(out))",
     ])
     env = dict(os.environ)
@@ -64,7 +66,7 @@ def cli_main(*argv) -> str:
 
 def test_import_loads_neither(tmp_path):
     out = loaded_after(tmp_path, "import lyaptrade.cli")
-    assert (out["numpy"], out["pool"]) == (False, False)
+    assert (out["numpy"], out["pool"], out["simplex"]) == (False,) * 3
 
 
 def test_trace_run_at_one_job_loads_neither(tmp_path):
@@ -73,7 +75,7 @@ def test_trace_run_at_one_job_loads_neither(tmp_path):
     out = loaded_after(tmp_path, cli_main("run", "--config", config,
                                           "--out", "out"))
     assert out["code"] == 0
-    assert (out["numpy"], out["pool"]) == (False, False)
+    assert (out["numpy"], out["pool"], out["simplex"]) == (False,) * 3
 
 
 def test_lookahead_oracle_loads_neither(tmp_path):
@@ -82,7 +84,7 @@ def test_lookahead_oracle_loads_neither(tmp_path):
     out = loaded_after(tmp_path, cli_main("oracle", "--config", config,
                                           "--out", "out"))
     assert out["code"] == 0
-    assert (out["numpy"], out["pool"]) == (False, False)
+    assert (out["numpy"], out["pool"], out["simplex"]) == (False,) * 3
 
 
 def test_trace_convert_loads_no_numpy(tmp_path):
@@ -114,9 +116,18 @@ def test_cli_runs_numpy_without_a_blas_thread(tmp_path, preset, expected):
            "if os.path.isdir(task) else None\n")
     out = loaded_after(tmp_path, body, blas=preset)
     assert out["code"] == 0 and out["numpy"] is True
+    assert out["simplex"] is False
     assert out["blas"] == expected
     if preset is None and sys.platform.startswith("linux"):
         assert out["threads"] == 1
+
+
+def test_phi_opt_oracle_loads_the_simplex(tmp_path):
+    # Only thm1, thm2 and the phi_opt oracle solve an LP.
+    out = loaded_after(tmp_path, cli_main("oracle", "--config",
+                                          iid_config(tmp_path), "--out",
+                                          "out"))
+    assert (out["code"], out["simplex"]) == (0, True)
 
 
 def test_random_source_loads_numpy_before_the_pool(tmp_path):
@@ -152,7 +163,7 @@ def test_public_names_are_pinned():
         "load_config", "load_trace", "lookahead_psi", "lyapunov", "make_rng",
         "market", "measure_memory_epsilon", "money", "oracles", "prices",
         "queue_band", "run_backtest", "run_profit", "sample_path_drift",
-        "save_trace", "scaled_windows_run", "simplex", "slot_profit",
+        "save_trace", "scaled_windows_run", "slot_profit",
         "solve_phi_opt", "startup_cost", "stationary_distribution",
         "to_cents", "trader", "validate_decision", "verify_queue_band",
         "verify_slot_optimality", "verify_thm1_profit", "verify_thm2_profit",

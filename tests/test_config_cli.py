@@ -6,7 +6,7 @@ import re
 
 import pytest
 
-from lyaptrade import (MarketSpec, StockSpec, config_from_json,
+from lyaptrade import (MarketSpec, StockSpec, Trajectory, config_from_json,
                        config_to_json, enumerate_actions, lookahead_psi)
 from lyaptrade import cli
 from lyaptrade.cli import main
@@ -349,6 +349,68 @@ class TestVerifySubcommand:
         assert list(reports) == ["dynamics"]
         assert reports["dynamics"]["verdict"] == "fail"
         assert "slot 19" in reports["dynamics"]["detail"]["error"]
+
+    def test_book_checked_once_and_transposed_once(self, tmp_path, capsys,
+                                                   monkeypatch):
+        # The dynamics gate's report and columns serve the checks after it.
+        doc = dict(BASE, write_trajectories=True, horizon=50,
+                   verify=["dynamics", "queue_band", "frame_drift"],
+                   options={"window": 4})
+        cfg = write_config(tmp_path, doc)
+        assert main(["run", "--config", cfg,
+                     "--out", str(tmp_path / "out")]) == 0
+        expected = read_summary(tmp_path)["reports"]
+        calls = []
+        for name in ("check_dynamics", "columns"):
+            def counted(self, *args, _fn=getattr(Trajectory, name),
+                        _name=name):
+                calls.append(_name)
+                return _fn(self, *args)
+            monkeypatch.setattr(Trajectory, name, counted)
+        traj_csv = tmp_path / "out" / "trajectory_0.csv"
+        capsys.readouterr()
+        assert main(["verify", "--config", cfg,
+                     "--trajectory", str(traj_csv)]) == 0
+        assert json.loads(capsys.readouterr().out)["reports"] == expected
+        assert sorted(calls) == ["check_dynamics", "columns"]
+        lines = traj_csv.read_text().splitlines()
+        cols = lines[20].split(",")
+        cols[4] = "0"  # drop the queue below its floor
+        lines[20] = ",".join(cols)
+        traj_csv.write_text("\n".join(lines) + "\n")
+        calls.clear()
+        assert main(["verify", "--config", cfg,
+                     "--trajectory", str(traj_csv)]) == 2
+        reports = json.loads(capsys.readouterr().out)["reports"]
+        assert list(reports) == ["dynamics"]
+        assert "slot 19" in reports["dynamics"]["detail"]["error"]
+        assert sorted(calls) == ["check_dynamics", "columns"]
+
+    def test_row_of_wrong_width_is_a_dynamics_fail(self, tmp_path, capsys,
+                                                  monkeypatch):
+        # Only a library caller can hand over such a book; the CSV reader
+        # fixes the width.
+        doc = dict(BASE, write_trajectories=True, horizon=30,
+                   verify=["queue_band", "frame_drift"])
+        cfg = write_config(tmp_path, doc)
+        main(["run", "--config", cfg, "--out", str(tmp_path / "out")])
+        read = Trajectory.from_csv
+
+        def short_row(*args, **kwargs):
+            traj = read(*args, **kwargs)
+            traj.queues[12] = (1, 1)
+            return traj
+
+        monkeypatch.setattr(Trajectory, "from_csv", short_row)
+        capsys.readouterr()
+        assert main(["verify", "--config", cfg, "--trajectory",
+                     str(tmp_path / "out" / "trajectory_0.csv")]) == 2
+        out = capsys.readouterr()
+        assert "Traceback" not in out.err
+        assert json.loads(out.out)["reports"] == {"dynamics": {
+            "verdict": "fail", "slack": -1.0, "locus": 0,
+            "detail": {"check": "dynamics", "error":
+                       "slot 12: queue row has 2 entries, expected 1"}}}
 
     @staticmethod
     def _verify_oversize_buy(tmp_path, capsys, slot):

@@ -351,3 +351,50 @@ def test_brute_force_matches_reference_scorer():
         ties += sum(score(prices, queue, d.sells, d.buys) == best
                     for d in enumerate_actions(spec, prices, queue).actions) > 1
     assert ties >= 300, ties
+
+
+def _with_budget(spec, mode, limit) -> MarketSpec:
+    field = "money" if mode == "money" else "shares"
+    return MarketSpec(spec.stocks, BudgetMode(mode, **{field: limit}))
+
+
+def test_step_records_match_reference_at_the_budget_edge():
+    # A slot whose per-stock minimisers spend exactly the limit is put
+    # together from their table records without the DP; one cent or share
+    # less sends it to the DP.  Greedy decides both slots itself.
+    rng = random.Random(1809)
+    seen = {}
+    for trial in range(900):
+        solver_name, mode = (("exact", "money"), ("exact", "shares"),
+                             ("greedy", "money"))[trial % 3]
+        kinds = [(rng.choice(COST_KINDS), rng.choice(COST_KINDS))
+                 for _ in range(3)]
+        spec = _market(rng, solver_name, "none", kinds)
+        params = _params(rng, spec, solver_name, (1, 5, 20, Fraction(35, 3)))
+        prices = tuple(0 if rng.random() < 0.2
+                       else rng.randrange(0, s.p_max + 1) for s in spec.stocks)
+        queue = tuple(rng.randrange(0, int(hi) + 6)
+                      for _, hi in queue_band(spec, params))
+        free = SlotSolver(spec, params)
+        assert free.step(prices, queue) \
+            == ReferenceSolver(spec, params).step(prices, queue)
+        best = ReferenceSolver(spec, replace(params, buy_solver="exact")) \
+            .buy_exact(prices, queue)
+        sizes = prices if mode == "money" else (1,) * len(prices)
+        spend = sum(a * z for a, z in zip(best, sizes))
+        if spend < 2:
+            continue
+        for limit in (spend, spend - 1):
+            tight = _with_budget(spec, mode, limit)
+            live, ref = SlotSolver(tight, params), ReferenceSolver(tight, params)
+            fits = limit == spend
+            if fits and solver_name == "exact":
+                live._pick = None  # the DP must not be reached
+            got = live.step(prices, queue)
+            assert got == ref.step(prices, queue), (trial, limit)
+            assert live.step(prices, queue) == got  # from warm tables
+            if solver_name == "exact":
+                assert (got[1] == best) == fits, (trial, limit)
+            key = (solver_name, mode, fits)
+            seen[key] = seen.get(key, 0) + 1
+    assert len(seen) == 6 and min(seen.values()) >= 50, seen

@@ -12,9 +12,10 @@ random slots; reports, return values and exception messages must match.
 import math
 import random
 from fractions import Fraction
+from types import SimpleNamespace
 
 from lyaptrade import (BudgetMode, CostFunction, MarketSpec, StockSpec,
-                       TraderParams, Trajectory, run_backtest)
+                       TraderParams, Trajectory, cli, run_backtest)
 from lyaptrade.analysis import (FAIL, PASS, BoundReport, _int_gt_threshold,
                                 _int_lt_threshold, check_frame_drift,
                                 verify_queue_band)
@@ -338,3 +339,44 @@ def test_brute_force_matches_pairwise_reference():
         assert brute_force_slot_min(params, spec, prices, queue) \
             == reference_brute_force_slot_min(params, spec, prices, queue), \
             trial
+
+
+def test_deterministic_checks_read_each_book_as_handed(monkeypatch):
+    # The columns are built once per call and handed to every check, so
+    # a book forged after a passing call fails each check where that
+    # check, called alone, finds it; nothing is read from the old book.
+    passes = []
+    columns = Trajectory.columns
+
+    def counted(self):
+        passes.append(self)
+        return columns(self)
+
+    rng = random.Random(18)
+    tripped = dict.fromkeys(("dynamics", "queue_band", "frame_drift"), 0)
+    for trial in range(300):
+        traj = _book(rng)
+        if not traj.n_slots:
+            continue
+        T = rng.randint(1, 6)
+        cfg = SimpleNamespace(verify=tuple(tripped), options={"window": T},
+                              seed=1)
+        cli._deterministic_checks(cfg, traj.spec, traj.params, traj, 3)
+        _forge(rng, traj, rng.choice(RULES))
+        monkeypatch.setattr(Trajectory, "columns", counted)
+        passes.clear()
+        got = cli._deterministic_checks(cfg, traj.spec, traj.params, traj, 3)
+        monkeypatch.setattr(Trajectory, "columns", columns)
+        assert passes == [traj], trial
+        error = outcome(traj.check_dynamics)
+        assert got["dynamics"] == (
+            BoundReport(PASS, detail={"check": "dynamics"}) if error is None
+            else BoundReport(FAIL, -1.0, 3, {"check": "dynamics",
+                                             "error": error[1]})), trial
+        assert got["queue_band"] == verify_queue_band(traj), trial
+        t0 = check_frame_drift(traj, T)
+        assert got["frame_drift"].locus == (3 if t0 is None
+                                            else {"rep": 3, "t0": t0}), trial
+        for name, report in got.items():
+            tripped[name] += not report.ok
+    assert min(tripped.values()) >= 20, tripped
