@@ -2,10 +2,9 @@
 sample-path bound verifiers."""
 
 from .analysis import (BoundConstants, BoundReport, compute_constants,
-                       lyapunov, measure_memory_epsilon, sample_path_drift,
-                       verify_queue_band, verify_slot_optimality,
-                       verify_thm1_profit, verify_thm2_profit, verify_thm3,
-                       verify_tslot_lemma)
+                       lyapunov, measure_memory_epsilon, verify_queue_band,
+                       verify_slot_optimality, verify_thm1_profit,
+                       verify_thm2_profit, verify_thm3, verify_tslot_lemma)
 from .config import ExperimentConfig, config_from_json, config_to_json, \
     load_config
 from .errors import (CapacityError, ConfigError, LyaptradeError,
@@ -20,8 +19,7 @@ from .oracles import (LookaheadResult, PonlyPolicy, PonlySolution,
 from .prices import (MarkovPriceModel, PriceDistribution, PriceTrace,
                      load_trace, make_rng, save_trace, stationary_distribution)
 from .trader import (SlotSolver, TraderParams, Trajectory, compute_theta,
-                     queue_band, run_backtest, run_profit,
-                     scaled_windows_run, startup_cost)
+                     queue_band, run_backtest, run_profit, scaled_windows_run)
 
 __version__ = "0.1.0"
 

@@ -8,14 +8,16 @@ function: same inputs, same report.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import compress
-from operator import itemgetter, sub
+from operator import itemgetter, mul, sub
 
 from .errors import StatisticalPowerError, StructuralError
-from .market import MarketSpec, TradeDecision, slot_profit, validate_decision
+from .market import (BUY_LIMIT, SELL_LIMIT, MarketSpec, TradeDecision,
+                     slot_profit, validate_decision)
 from .money import _as_fraction, cents_to_units
 from .trader import SlotSolver, TraderParams, Trajectory, queue_band
 
@@ -81,16 +83,6 @@ def lyapunov(queue, theta) -> Fraction:
     return sum((Fraction(q) - t) ** 2 for q, t in zip(queue, theta)) / 2
 
 
-def sample_path_drift(traj: Trajectory, t0: int, window: int) -> Fraction:
-    if window < 1:
-        raise StructuralError("window must be a positive integer")
-    if t0 < 0 or t0 + window > traj.n_slots:
-        raise StructuralError("frame outside the trajectory")
-    theta = traj.params.resolved_theta(traj.spec)
-    return lyapunov(traj.queue_at(t0 + window), theta) \
-        - lyapunov(traj.queue_at(t0), theta)
-
-
 def _int_lt_threshold(thr: Fraction) -> int:
     """Largest integer q with q < thr."""
     return math.ceil(thr) - 1
@@ -154,9 +146,24 @@ def _check_alternative(spec, prices, d: TradeDecision):
         raise StructuralError(f"infeasible alternative: {verdict.violations}")
 
 
+def _cap_breach(traj: Trajectory, slots, check, locus):
+    """A FAIL at `locus` naming the first trade cap that the book's own
+    decision breaks in `slots` (a stock's sell, then its buy, outside
+    0..mu_max), else None.  The cost tables hold no other quantity."""
+    for t in slots:
+        for s, m, a in zip(traj.spec.stocks, traj.sells[t], traj.buys[t]):
+            for rule, v in ((SELL_LIMIT, m), (BUY_LIMIT, a)):
+                if not 0 <= v <= s.mu_max:
+                    return BoundReport(FAIL, -1.0, locus,
+                                       {"check": check, "rule": rule,
+                                        "slot": t, "stock": s.index})
+    return None
+
+
 def verify_slot_optimality(traj: Trajectory, alternatives) -> BoundReport:
     """Per-slot minimality of the queue-weighted objective against any
-    feasible alternative decisions; exact in scaled integers.
+    feasible alternative decisions; exact in scaled integers.  A book
+    decision outside the trade caps is a FAIL at its slot.
 
     alternatives: iterable of (slot, TradeDecision)."""
     spec, params = traj.spec, traj.params
@@ -166,6 +173,9 @@ def verify_slot_optimality(traj: Trajectory, alternatives) -> BoundReport:
     for t, alt in alternatives:
         if not 0 <= t < traj.n_slots:
             raise StructuralError(f"slot {t} outside trajectory")
+        breach = _cap_breach(traj, (t,), "slot_optimality", t)
+        if breach:
+            return breach
         prices = traj.prices[t]
         _check_alternative(spec, prices, alt)
         q = traj.queue_at(t)
@@ -186,38 +196,60 @@ def _phi_dollars(spec, prices, d: TradeDecision) -> Fraction:
     return cents_to_units(slot_profit(spec, prices, d))
 
 
+@functools.lru_cache(maxsize=8)
+def _lemma_terms(spec: MarketSpec, params: TraderParams, window: int):
+    """(S, S*theta, k, 2S^2*D*T^2, sell and buy cost tables) for the frame
+    lemma, built once per (spec, params, window); 2D*T^2 is an integer."""
+    theta = params.resolved_theta(spec)
+    S = math.lcm(100 * params.V.denominator, *(t.denominator for t in theta))
+    D = compute_constants(spec, window).D
+    return (S, tuple(int(t * S) for t in theta),
+            S // (100 * params.V.denominator) * params.V.numerator,
+            int(2 * S * S * D * window * window),
+            tuple(tuple(map(s.sell_cost, range(s.mu_max + 1)))
+                  for s in spec.stocks),
+            tuple(tuple(map(s.buy_cost, range(s.mu_max + 1)))
+                  for s in spec.stocks))
+
+
 def verify_tslot_lemma(traj: Trajectory, alt_sequence, t0: int,
                        window: int) -> BoundReport:
     """Windowed sample-path drift bound against any feasible alternative
-    decision sequence for the frame; exact."""
-    spec, params = traj.spec, traj.params
+    decision sequence for the frame, exact in scaled integers:
+
+        ΔL - V·Σφ(ours) <= D·T² - V·Σφ(alt) + Σ|Q_n(t0) - θ_n|·net_n,
+
+    net_n the alternative's sells less buys over the frame.  With
+    S = lcm(100·den V, den θ_n), x_n = S·Q_n - S·θ_n and k = S·V/100, 2S²
+    times the slack is 2S²·D·T² + 2S·(k·(P_ours - P_alt) + Σ|x_0,n|·net_n)
+    - Σ(x_end² - x_0²), P the frame profit in cents.  A book decision
+    outside the trade caps is a FAIL naming the rule, slot and stock."""
     T = window
     if len(alt_sequence) != T:
         raise StructuralError("alternative sequence length differs from frame")
     if t0 < 0 or t0 + T > traj.n_slots:
         raise StructuralError("frame outside the trajectory")
-    theta = params.resolved_theta(spec)
-    V = params.V
-    D = compute_constants(spec, T).D
-    drift = sample_path_drift(traj, t0, T)
-    lhs = drift
-    rhs = D * T * T
-    for k in range(T):
-        t = t0 + k
-        prices = traj.prices[t]
-        alt = alt_sequence[k]
-        _check_alternative(spec, prices, alt)
-        lhs -= V * _phi_dollars(spec, prices,
-                                TradeDecision(traj.buys[t], traj.sells[t]))
-        rhs -= V * _phi_dollars(spec, prices, alt)
-    q0 = traj.queue_at(t0)
-    for i in range(spec.n_stocks):
-        gap = abs(Fraction(q0[i]) - theta[i])
-        rhs += gap * sum(alt.sells[i] - alt.buys[i] for alt in alt_sequence)
-    slack = rhs - lhs
-    verdict = PASS if slack >= 0 else FAIL
-    return BoundReport(verdict, float(slack), (t0, T),
-                       {"check": "frame_drift_bound"})
+    slots = range(t0, t0 + T)
+    breach = _cap_breach(traj, slots, "frame_drift_bound", (t0, T))
+    if breach:
+        return breach
+    S, thetaS, k, bound, sell_cost, buy_cost = _lemma_terms(
+        traj.spec, traj.params, T)
+    gain = 0  # our frame profit less the alternative's, in cents
+    for t, alt in zip(slots, alt_sequence):
+        _check_alternative(traj.spec, traj.prices[t], alt)
+        for p, sc, bc, m, a, m2, a2 in zip(traj.prices[t], sell_cost,
+                                           buy_cost, traj.sells[t],
+                                           traj.buys[t], alt.sells, alt.buys):
+            gain += (m - a - m2 + a2) * p - sc[m] - bc[a] + sc[m2] + bc[a2]
+    net = map(sum, zip(*(map(sub, alt.sells, alt.buys)
+                         for alt in alt_sequence)))
+    x0 = [S * q - ts for q, ts in zip(traj.queue_at(t0), thetaS)]
+    x1 = [S * q - ts for q, ts in zip(traj.queue_at(t0 + T), thetaS)]
+    slack = bound + 2 * S * (k * gain + sum(map(mul, map(abs, x0), net))) \
+        - sum(b * b - a * a for a, b in zip(x0, x1))
+    return BoundReport(PASS if slack >= 0 else FAIL, slack / (2 * S * S),
+                       (t0, T), {"check": "frame_drift_bound"})
 
 
 def verify_thm3(traj: Trajectory, psi_cents, M: int, window: int) -> BoundReport:
@@ -299,20 +331,6 @@ def verify_thm2_profit(run_profits_cents, M: int, window: int,
                           "memory_profit_bound", min_runs)
 
 
-# -- per-slot and per-frame drift inequalities (property-test fodder) ------
-
-def check_one_slot_drift(traj: Trajectory, t: int) -> bool:
-    """Single-slot quadratic drift expansion, exact."""
-    theta = traj.params.resolved_theta(traj.spec)
-    drift = lyapunov(traj.queue_at(t + 1), theta) - lyapunov(traj.queue_at(t), theta)
-    q = traj.queue_at(t)
-    rhs = Fraction(0)
-    for i in range(traj.spec.n_stocks):
-        net = traj.sells[t][i] - traj.buys[t][i]
-        rhs += Fraction(net * net, 2) - (Fraction(q[i]) - theta[i]) * net
-    return drift <= rhs
-
-
 def check_frame_drift(traj: Trajectory, window: int,
                       columns=None) -> int | None:
     """T-slot drift bound ΔL <= B̃T² - Σ(Q_n(t0) - θ_n)·net_n on every
@@ -339,29 +357,6 @@ def check_frame_drift(traj: Trajectory, window: int,
     if max(lhs, default=const) <= const:
         return None
     return next(m for m, v in enumerate(lhs) if v > const) * window
-
-
-def check_shifted_slot(traj: Trajectory, t0: int, tau: int,
-                       alt: TradeDecision) -> bool:
-    """Slot objective at tau weighted by the frame-start queue, exact:
-    shifting the queue reference costs at most 2|tau-t0| sum mu_max^2."""
-    spec, params = traj.spec, traj.params
-    theta = params.resolved_theta(spec)
-    V = params.V
-    prices = traj.prices[tau]
-    _check_alternative(spec, prices, alt)
-    q0 = traj.queue_at(t0)
-    mu_sq = sum(Fraction(s.mu_max) ** 2 for s in spec.stocks)
-
-    def weighted(d: TradeDecision) -> Fraction:
-        val = -V * _phi_dollars(spec, prices, d)
-        for i in range(spec.n_stocks):
-            val -= (Fraction(q0[i]) - theta[i]) * (d.sells[i] - d.buys[i])
-        return val
-
-    ours = weighted(TradeDecision(traj.buys[tau], traj.sells[tau]))
-    theirs = weighted(alt)
-    return ours <= 2 * abs(tau - t0) * mu_sq + theirs
 
 
 def measure_memory_epsilon(model, solution, window: int) -> Fraction:

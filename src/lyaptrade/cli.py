@@ -21,7 +21,7 @@ from . import __version__
 from .analysis import (BoundReport, check_frame_drift, measure_memory_epsilon,
                        verify_queue_band, verify_slot_optimality,
                        verify_thm1_profit, verify_thm2_profit, verify_thm3,
-                       FAIL, PASS)
+                       verify_tslot_lemma, FAIL, PASS)
 from .config import (DETERMINISTIC_CHECKS, STATISTICAL_CHECKS,
                      ExperimentConfig, config_to_json, load_config,
                      open_input)
@@ -100,8 +100,8 @@ def _deterministic_checks(cfg, spec, params, traj: Trajectory, rep: int,
         elif name == "slot_optimality":
             k = int(cfg.options.get("optimality_slots", 50))
             rng = make_rng(cfg.seed, 10 ** 6 + rep)
-            slots = sorted(set(
-                int(t) for t in rng.integers(0, traj.n_slots, size=k)))
+            slots = sorted(set(int(t) for t in rng.integers(
+                0, traj.n_slots, size=k))) if traj.n_slots else []
             scorer = SlotSolver(spec, params)
             alts = []
             for t in slots:
@@ -111,21 +111,33 @@ def _deterministic_checks(cfg, spec, params, traj: Trajectory, rep: int,
                 alts.append((t, TradeDecision.zero(spec.n_stocks)))
             reports[name] = verify_slot_optimality(traj, alts)
         elif name == "frame_drift":
-            T = int(cfg.options.get("window", 4))
+            T = cfg.window
             t0 = check_frame_drift(traj, T, columns)
             detail = {"check": "frame_drift", "window": T}
             reports[name] = BoundReport(PASS, 0.0, rep, detail) if t0 is None \
                 else BoundReport(FAIL, -1.0, {"rep": rep, "t0": t0}, detail)
         elif name == "thm3":
-            T = int(cfg.options.get("window", 4))
+            # The T-slot lemma on each frame, against the lookahead's own
+            # decisions, sums to the bound; the first frame that fails
+            # is the FAIL.
+            T = cfg.window
             M = traj.n_slots // T
             if M == 0:
                 raise ConfigError(
                     f"thm3 needs at least one frame of {T} slots, but the "
                     f"trajectory has {traj.n_slots}", location="/options/window")
-            psi = [lookahead_psi(spec, traj.prices[m * T:(m + 1) * T]).psi_cents
-                   for m in range(M)]
-            reports[name] = verify_thm3(traj, psi, M, T)
+            psi = []
+            for t0 in range(0, M * T, T):
+                frame = lookahead_psi(spec, traj.prices[t0:t0 + T])
+                lemma = verify_tslot_lemma(traj, frame.decisions, t0, T)
+                if not lemma.ok:
+                    reports[name] = BoundReport(
+                        FAIL, lemma.slack, {"rep": rep, "t0": t0},
+                        {**lemma.detail, "check": "frame_lemma", "window": T})
+                    break
+                psi.append(frame.psi_cents)
+            else:
+                reports[name] = verify_thm3(traj, psi, M, T)
     return reports
 
 
@@ -139,7 +151,7 @@ def _check_statistical_config(cfg):
             if cfg.source.kind != "markov":
                 raise ConfigError("thm2 needs a markov source",
                                   location="/verify")
-            if cfg.horizon % int(cfg.options.get("window", 4)):
+            if cfg.horizon % cfg.window:
                 raise ConfigError("horizon must be a multiple of the window",
                                   location="/horizon")
 
@@ -152,7 +164,7 @@ def _statistical_checks(cfg, spec, params, totals):
             reports[name] = verify_thm1_profit(totals, cfg.horizon, spec,
                                                params, phi)
         elif name == "thm2":
-            T = int(cfg.options.get("window", 4))
+            T = cfg.window
             model = cfg.source.model
             sol = solve_phi_opt(spec, stationary_distribution(model))
             sol = drift_rebalance(sol)

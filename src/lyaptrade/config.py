@@ -81,6 +81,11 @@ class ExperimentConfig:
                                   f"(known: {', '.join(KNOWN_CHECKS)})",
                                   location="/verify")
 
+    @property
+    def window(self) -> int:
+        """The frame length T of frame_drift, thm3 and thm2."""
+        return int(self.options.get("window", 4))
+
 
 def _price_vector(obj, where):
     try:

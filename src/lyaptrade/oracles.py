@@ -73,18 +73,6 @@ class PonlyPolicy:
 
     table: tuple  # tuple of (price, tuple of (TradeDecision, Fraction))
 
-    def actions_for(self, price):
-        for p, acts in self.table:
-            if p == price:
-                return acts
-        raise StructuralError(f"price {price} not in policy support")
-
-    def check_simplex(self):
-        for _, acts in self.table:
-            total = sum(q for _, q in acts)
-            if total != 1 or any(q < 0 or q > 1 for _, q in acts):
-                raise StructuralError("policy probabilities are not a simplex")
-
 
 @dataclass(frozen=True)
 class PonlySolution:

@@ -375,12 +375,6 @@ class SlotSolver:
         return total
 
 
-def startup_cost(spec: MarketSpec, prices) -> int:
-    """Cents to buy the per-stock trade cap of every stock at given prices."""
-    prices = spec.check_prices(prices)
-    return sum(s.outlay(s.mu_max, p) for s, p in zip(spec.stocks, prices))
-
-
 def _csv_header(n: int) -> list:
     return (["slot"] + [f"p_{i+1}" for i in range(n)]
             + [f"A_{i+1}" for i in range(n)]
@@ -413,13 +407,6 @@ class Trajectory:
 
     def cumulative_profit(self) -> int:
         return sum(self.profits)
-
-    def real_queue_at(self, t: int) -> tuple:
-        """Actual holdings at slot t (subtracts fake shares when present)."""
-        q = self.queue_at(t)
-        if not self.params.placeholder:
-            return q
-        return tuple(v - s.mu_max for v, s in zip(q, self.spec.stocks))
 
     def columns(self) -> tuple:
         """(queues, sells, buys) per stock, queues[n][t] at the start of

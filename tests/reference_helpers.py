@@ -1,0 +1,123 @@
+"""Lemma checkers, book and policy readers that only the tests call.
+
+`reference_tslot_lemma` is the T-slot frame lemma in `Fraction`s, the
+reference that `lyaptrade.analysis.verify_tslot_lemma`, written in scaled
+integers, is compared with bit for bit.  The others check the paper's
+one-slot drift expansion and its shifted-queue step, read a place-holder
+book's actual holdings and the start-up purchase it avoids, and read a
+price-only policy's table.
+"""
+
+from fractions import Fraction
+
+from lyaptrade.analysis import (FAIL, PASS, BoundReport, _check_alternative,
+                                _phi_dollars, compute_constants, lyapunov)
+from lyaptrade.errors import StructuralError
+from lyaptrade.market import TradeDecision
+
+
+def sample_path_drift(traj, t0: int, window: int) -> Fraction:
+    if window < 1:
+        raise StructuralError("window must be a positive integer")
+    if t0 < 0 or t0 + window > traj.n_slots:
+        raise StructuralError("frame outside the trajectory")
+    theta = traj.params.resolved_theta(traj.spec)
+    return lyapunov(traj.queue_at(t0 + window), theta) \
+        - lyapunov(traj.queue_at(t0), theta)
+
+
+def reference_tslot_lemma(traj, alt_sequence, t0: int,
+                          window: int) -> BoundReport:
+    """Windowed sample-path drift bound against any feasible alternative
+    decision sequence for the frame; exact."""
+    spec, params = traj.spec, traj.params
+    T = window
+    if len(alt_sequence) != T:
+        raise StructuralError("alternative sequence length differs from frame")
+    if t0 < 0 or t0 + T > traj.n_slots:
+        raise StructuralError("frame outside the trajectory")
+    theta = params.resolved_theta(spec)
+    V = params.V
+    D = compute_constants(spec, T).D
+    drift = sample_path_drift(traj, t0, T)
+    lhs = drift
+    rhs = D * T * T
+    for k in range(T):
+        t = t0 + k
+        prices = traj.prices[t]
+        alt = alt_sequence[k]
+        _check_alternative(spec, prices, alt)
+        lhs -= V * _phi_dollars(spec, prices,
+                                TradeDecision(traj.buys[t], traj.sells[t]))
+        rhs -= V * _phi_dollars(spec, prices, alt)
+    q0 = traj.queue_at(t0)
+    for i in range(spec.n_stocks):
+        gap = abs(Fraction(q0[i]) - theta[i])
+        rhs += gap * sum(alt.sells[i] - alt.buys[i] for alt in alt_sequence)
+    slack = rhs - lhs
+    verdict = PASS if slack >= 0 else FAIL
+    return BoundReport(verdict, float(slack), (t0, T),
+                       {"check": "frame_drift_bound"})
+
+
+def check_one_slot_drift(traj, t: int) -> bool:
+    """Single-slot quadratic drift expansion, exact."""
+    theta = traj.params.resolved_theta(traj.spec)
+    drift = lyapunov(traj.queue_at(t + 1), theta) - lyapunov(traj.queue_at(t), theta)
+    q = traj.queue_at(t)
+    rhs = Fraction(0)
+    for i in range(traj.spec.n_stocks):
+        net = traj.sells[t][i] - traj.buys[t][i]
+        rhs += Fraction(net * net, 2) - (Fraction(q[i]) - theta[i]) * net
+    return drift <= rhs
+
+
+def check_shifted_slot(traj, t0: int, tau: int, alt: TradeDecision) -> bool:
+    """Slot objective at tau weighted by the frame-start queue, exact:
+    shifting the queue reference costs at most 2|tau-t0| sum mu_max^2."""
+    spec, params = traj.spec, traj.params
+    theta = params.resolved_theta(spec)
+    V = params.V
+    prices = traj.prices[tau]
+    _check_alternative(spec, prices, alt)
+    q0 = traj.queue_at(t0)
+    mu_sq = sum(Fraction(s.mu_max) ** 2 for s in spec.stocks)
+
+    def weighted(d: TradeDecision) -> Fraction:
+        val = -V * _phi_dollars(spec, prices, d)
+        for i in range(spec.n_stocks):
+            val -= (Fraction(q0[i]) - theta[i]) * (d.sells[i] - d.buys[i])
+        return val
+
+    ours = weighted(TradeDecision(traj.buys[tau], traj.sells[tau]))
+    theirs = weighted(alt)
+    return ours <= 2 * abs(tau - t0) * mu_sq + theirs
+
+
+def real_queue_at(traj, t: int) -> tuple:
+    """Actual holdings at slot t (subtracts fake shares when present)."""
+    q = traj.queue_at(t)
+    if not traj.params.placeholder:
+        return q
+    return tuple(v - s.mu_max for v, s in zip(q, traj.spec.stocks))
+
+
+def startup_cost(spec, prices) -> int:
+    """Cents to buy the per-stock trade cap of every stock at given prices."""
+    prices = spec.check_prices(prices)
+    return sum(s.outlay(s.mu_max, p) for s, p in zip(spec.stocks, prices))
+
+
+def actions_for(policy, price):
+    """A price-only policy's (decision, probability) pairs at `price`."""
+    for p, acts in policy.table:
+        if p == price:
+            return acts
+    raise StructuralError(f"price {price} not in policy support")
+
+
+def check_simplex(policy):
+    for _, acts in policy.table:
+        total = sum(q for _, q in acts)
+        if total != 1 or any(q < 0 or q > 1 for _, q in acts):
+            raise StructuralError("policy probabilities are not a simplex")

@@ -9,7 +9,7 @@ from fractions import Fraction
 
 from lyaptrade import (MarkovPriceModel, TraderParams, drift_rebalance,
                        enumerate_actions, lookahead_psi, run_backtest,
-                       run_profit, solve_phi_opt, startup_cost)
+                       run_profit, solve_phi_opt)
 from lyaptrade.analysis import (VACUOUS, measure_memory_epsilon,
                                 verify_queue_band, verify_slot_optimality,
                                 verify_thm1_profit, verify_thm2_profit,
@@ -21,6 +21,7 @@ from lyaptrade.trader import SlotSolver
 from conftest import (adversarial_trace, buy_coeffs, one_stock_spec,
                       random_dist, random_small_spec,
                       random_trace, uniform_two_price)
+from reference_helpers import real_queue_at, startup_cost
 from test_oracles import deterministic_phi_opt
 
 
@@ -193,7 +194,7 @@ def test_ac7_placeholder_equivalence():
                           placeholder=True)
         traj = run_backtest(spec, wrapped, source, horizon, seed=seed)
         for t in range(traj.n_slots):
-            real = traj.real_queue_at(t)
+            real = real_queue_at(traj, t)
             assert all(r >= 0 for r in real)
             assert all(m <= r for m, r in zip(traj.sells[t], real))
         plain_total, _ = run_profit(spec, params, source, horizon, seed=seed)

@@ -7,16 +7,17 @@ import pytest
 from lyaptrade import (MarkovPriceModel, PriceTrace, TradeDecision,
                        TraderParams, compute_constants, lookahead_psi,
                        lyapunov, measure_memory_epsilon, run_backtest,
-                       run_profit, sample_path_drift, solve_phi_opt,
-                       stationary_distribution, verify_queue_band,
-                       verify_slot_optimality, verify_thm1_profit,
-                       verify_thm2_profit, verify_thm3, verify_tslot_lemma)
-from lyaptrade.analysis import (FAIL, PASS, VACUOUS, check_frame_drift,
-                                check_one_slot_drift, check_shifted_slot)
+                       run_profit, solve_phi_opt, stationary_distribution,
+                       verify_queue_band, verify_slot_optimality,
+                       verify_thm1_profit, verify_thm2_profit, verify_thm3,
+                       verify_tslot_lemma)
+from lyaptrade.analysis import FAIL, PASS, VACUOUS, check_frame_drift
 from lyaptrade.errors import StatisticalPowerError, StructuralError
 
 from conftest import (adversarial_trace, one_stock_spec, random_small_spec,
                       random_trace, uniform_two_price)
+from reference_helpers import (check_one_slot_drift, check_shifted_slot,
+                             sample_path_drift)
 
 
 def two_stock_spec():

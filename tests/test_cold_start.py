@@ -162,9 +162,9 @@ def test_public_names_are_pinned():
         "config_to_json", "drift_rebalance", "enumerate_actions", "errors",
         "load_config", "load_trace", "lookahead_psi", "lyapunov", "make_rng",
         "market", "measure_memory_epsilon", "money", "oracles", "prices",
-        "queue_band", "run_backtest", "run_profit", "sample_path_drift",
+        "queue_band", "run_backtest", "run_profit",
         "save_trace", "scaled_windows_run", "slot_profit",
-        "solve_phi_opt", "startup_cost", "stationary_distribution",
+        "solve_phi_opt", "stationary_distribution",
         "to_cents", "trader", "validate_decision", "verify_queue_band",
         "verify_slot_optimality", "verify_thm1_profit", "verify_thm2_profit",
         "verify_thm3", "verify_tslot_lemma"]

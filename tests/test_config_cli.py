@@ -447,6 +447,18 @@ class TestVerifySubcommand:
         assert reports["frame_drift"]["verdict"] == "fail"
         assert reports["frame_drift"]["locus"] == {"rep": 0, "t0": 20}
 
+    def test_header_only_book_samples_no_slot(self, tmp_path, capsys):
+        book = tmp_path / "empty.csv"
+        book.write_text("slot,p_1,A_1,mu_1,Q_1,profit\n")
+        cfg = write_config(tmp_path, dict(
+            BASE, verify=["dynamics", "queue_band", "frame_drift",
+                          "slot_optimality"]))
+        assert main(["verify", "--config", cfg,
+                     "--trajectory", str(book)]) == 0
+        reports = json.loads(capsys.readouterr().out)["reports"]
+        assert all(r["verdict"] == "pass" for r in reports.values())
+        assert reports["slot_optimality"]["locus"] is None
+
     def test_fractional_share_cell_is_located(self, tmp_path, capsys):
         doc = dict(BASE, write_trajectories=True, horizon=50,
                    verify=["queue_band"])

@@ -17,6 +17,7 @@ from lyaptrade.trader import SlotSolver
 
 from conftest import (one_stock_spec, random_dist,
                       random_small_spec, random_trace, uniform_two_price)
+from reference_helpers import actions_for, check_simplex
 
 
 class TestEnumerate:
@@ -90,7 +91,7 @@ class TestPhiOpt:
         sol = solve_phi_opt(one_stock_spec(), uniform_two_price())
         assert sol.phi_opt == Fraction(1, 2)
         assert all(d == 0 for d in sol.drifts)
-        sol.policy.check_simplex()
+        check_simplex(sol.policy)
 
     def test_constant_price_is_zero(self):
         dist = PriceDistribution(((150,),), (1,))
@@ -113,7 +114,7 @@ class TestPhiOpt:
             sol = solve_phi_opt(spec, random_dist(rng, spec))
             assert sol.phi_opt >= 0
             assert all(d >= 0 for d in sol.drifts)
-            sol.policy.check_simplex()
+            check_simplex(sol.policy)
 
     def test_matches_vertex_mixing_oracle(self, rng):
         for _ in range(8):
@@ -140,7 +141,7 @@ class TestRebalance:
         sol = PonlySolution(policy, Fraction(-1), (Fraction(1),), spec, dist)
         out = drift_rebalance(sol)
         assert out.drifts == (Fraction(0),)
-        acts = out.policy.actions_for((100,))
+        acts = actions_for(out.policy, (100,))
         assert all(d.buys == (0,) for d, q in acts if q > 0)
 
     def test_partial_thinning(self):

@@ -8,11 +8,12 @@ from hypothesis import strategies as st
 from lyaptrade import (BudgetMode, CostFunction, MarketSpec, PriceTrace,
                        StockSpec, TradeDecision, TraderParams, cents_to_str,
                        run_backtest, slot_profit, to_cents)
-from lyaptrade.analysis import check_one_slot_drift, verify_queue_band
+from lyaptrade.analysis import verify_queue_band
 from lyaptrade.oracles import brute_force_slot_min, enumerate_actions
 from lyaptrade.trader import SlotSolver
 
 from conftest import buy_coeffs
+from reference_helpers import check_one_slot_drift
 
 
 @st.composite

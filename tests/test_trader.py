@@ -14,13 +14,14 @@ from lyaptrade import (BudgetMode, CostFunction, MarketSpec, MarkovPriceModel,
                        StockSpec, TradeDecision, TraderParams, Trajectory,
                        compute_theta, config_from_json, queue_band,
                        run_backtest, run_profit, scaled_windows_run,
-                       startup_cost, validate_decision)
+                       validate_decision)
 from lyaptrade.cli import main
 from lyaptrade.errors import ConfigError, StructuralError
 from lyaptrade.trader import SlotSolver, _slots
 
 from conftest import (buy_coeffs, one_stock_spec, random_small_spec,
                       uniform_two_price)
+from reference_helpers import real_queue_at, startup_cost
 
 
 class TestTheta:
@@ -580,7 +581,7 @@ class TestPlaceholder:
         params = TraderParams(V=20, placeholder=True)
         traj = run_backtest(spec, params, uniform_two_price(), 2000, seed=6)
         for t in range(traj.n_slots):
-            real = traj.real_queue_at(t)
+            real = real_queue_at(traj, t)
             assert all(m <= r for m, r in zip(traj.sells[t], real))
             assert all(r >= 0 for r in real)
 
@@ -611,7 +612,7 @@ class TestPlaceholder:
                                          placeholder=True),
                             cfg.source.dist, 300, seed=5)
         assert traj.queue_at(0) == (3, 1)
-        assert all(min(traj.real_queue_at(t)) >= 0
+        assert all(min(real_queue_at(traj, t)) >= 0
                    for t in range(traj.n_slots + 1))
         (tmp_path / "config.json").write_text(json.dumps(doc))
         assert main(["run", "--config", str(tmp_path / "config.json"),

@@ -1,31 +1,42 @@
-"""Parity of the column-sweep trajectory checks and the per-side
-brute-force oracle with the code they replaced.
+"""Parity of the column-sweep trajectory checks, the per-side
+brute-force oracle and the integer frame lemma with the code they
+replaced.
 
 The reference functions below are the row-wise checks, copied verbatim:
 `Trajectory.check_dynamics`, `verify_queue_band` and `check_frame_drift`
 walked the book one slot at a time, and `brute_force_slot_min` compared
-every (sells, buys) pair by the summed side scores.  Each is compared
+every (sells, buys) pair by the summed side scores.  The `Fraction` frame
+lemma is `reference_helpers.reference_tslot_lemma`.  Each is compared
 with the live code on seeded random books, clean and forged, and on
 random slots; reports, return values and exception messages must match.
+Forged books then go through `lyaptrade verify`.
 """
 
+import contextlib
+import io
+import itertools
+import json
 import math
 import random
 from fractions import Fraction
 from types import SimpleNamespace
 
 from lyaptrade import (BudgetMode, CostFunction, MarketSpec, StockSpec,
-                       TraderParams, Trajectory, cli, run_backtest)
+                       TraderParams, Trajectory, cli, enumerate_actions,
+                       lookahead_psi, run_backtest)
 from lyaptrade.analysis import (FAIL, PASS, BoundReport, _int_gt_threshold,
                                 _int_lt_threshold, check_frame_drift,
-                                verify_queue_band)
+                                verify_queue_band, verify_slot_optimality,
+                                verify_thm3, verify_tslot_lemma)
 from lyaptrade.errors import LyaptradeError, StructuralError
 from lyaptrade.market import TradeDecision
 from lyaptrade.money import cents_to_units
 from lyaptrade.oracles import _feasible, brute_force_slot_min
+from lyaptrade.prices import PriceTrace
 from lyaptrade.trader import SlotSolver, queue_band
 
-from conftest import random_dist, random_small_spec, random_trace
+from conftest import random_cost, random_dist, random_small_spec, random_trace
+from reference_helpers import reference_tslot_lemma
 
 
 def reference_check_dynamics(self):
@@ -359,8 +370,7 @@ def test_deterministic_checks_read_each_book_as_handed(monkeypatch):
         if not traj.n_slots:
             continue
         T = rng.randint(1, 6)
-        cfg = SimpleNamespace(verify=tuple(tripped), options={"window": T},
-                              seed=1)
+        cfg = SimpleNamespace(verify=tuple(tripped), window=T, seed=1)
         cli._deterministic_checks(cfg, traj.spec, traj.params, traj, 3)
         _forge(rng, traj, rng.choice(RULES))
         monkeypatch.setattr(Trajectory, "columns", counted)
@@ -380,3 +390,228 @@ def test_deterministic_checks_read_each_book_as_handed(monkeypatch):
         for name, report in got.items():
             tripped[name] += not report.ok
     assert min(tripped.values()) >= 20, tripped
+
+
+# -- the frame lemma in scaled integers ------------------------------------
+
+def _lemma_book(rng):
+    """A run on a random market: 1-3 stocks, every cost kind, any budget,
+    a fractional V or theta, a place-holder start, either solver."""
+    stocks = []
+    for i in range(rng.randint(1, 3)):
+        mu, p_max = rng.randint(1, 2), rng.choice((100, 150, 200, 300))
+        costs = [random_cost(rng, mu, p_max) if rng.random() < 0.7
+                 else CostFunction("table", values=tuple(itertools.accumulate(
+                     (rng.randrange(0, p_max // 2) for _ in range(mu)),
+                     initial=0)))
+                 for _ in range(2)]
+        stocks.append(StockSpec(i, mu, p_max, *costs))
+    budget = rng.choice((BudgetMode(),
+                         BudgetMode("money", money=rng.randrange(100, 900)),
+                         BudgetMode("shares", shares=rng.randint(1, 4))))
+    spec = MarketSpec(tuple(stocks), budget)
+    theta = None
+    if rng.random() < 0.3:
+        theta = tuple(Fraction(rng.randrange(1, 900), rng.randint(1, 9))
+                      for _ in spec.stocks)
+    greedy = budget.mode != "shares" and rng.random() < 0.3 and all(
+        s.buy_cost.is_concave(s.mu_max) for s in spec.stocks)
+    params = TraderParams(V=rng.choice((1, 5, 50, Fraction(35, 3),
+                                        Fraction(7, 4))),
+                          theta=theta, placeholder=rng.random() < 0.25,
+                          buy_solver="greedy" if greedy else "exact")
+    horizon = rng.randint(4, 16)
+    return run_backtest(spec, params, random_trace(rng, spec, horizon),
+                        horizon)
+
+
+def _forge_in_caps(rng, traj):
+    """A random in-cap decision at a random slot, queues rebuilt; the
+    slot."""
+    t = rng.randrange(traj.n_slots)
+    for side in (traj.sells, traj.buys):
+        side[t] = tuple(rng.randint(0, s.mu_max) for s in traj.spec.stocks)
+    _rebuild_queues(traj)
+    return t
+
+
+def _bits(report):
+    return report.verdict, report.slack.hex(), report.locus, report.detail
+
+
+def test_integer_lemma_matches_fraction_reference():
+    rng = random.Random(19)
+    kinds = set()
+    verdicts = {PASS: 0, FAIL: 0}
+    for trial in range(150):
+        traj = _lemma_book(rng)
+        # A forged slot lies in every frame checked on its book.
+        t = _forge_in_caps(rng, traj) if trial % 2 else None
+        spec = traj.spec
+        kinds.add(spec.budget.mode)
+        kinds.update(c.kind for s in spec.stocks
+                     for c in (s.buy_cost, s.sell_cost))
+        for _ in range(4):
+            T = rng.randint(1, 4)
+            t0 = rng.randrange(traj.n_slots - T + 1) if t is None else \
+                rng.randint(max(t - T + 1, 0), min(t, traj.n_slots - T))
+            window = traj.prices[t0:t0 + T]
+            for alts in (lookahead_psi(spec, window).decisions,
+                         [TradeDecision.zero(spec.n_stocks)] * T,
+                         [rng.choice(enumerate_actions(spec, p).actions)
+                          for p in window]):
+                got = verify_tslot_lemma(traj, alts, t0, T)
+                assert _bits(got) == _bits(reference_tslot_lemma(
+                    traj, alts, t0, T)), (trial, t0, T)
+                verdicts[got.verdict] += 1
+    assert kinds >= {"none", "money", "shares",
+                     "zero", "linear", "fixed", "table"}, kinds
+    assert min(verdicts.values()) >= 20, verdicts
+
+
+def test_integer_lemma_errors_match_reference():
+    rng = random.Random(7)
+    traj = _lemma_book(rng)
+    zero = TradeDecision.zero(traj.spec.n_stocks)
+    over = TradeDecision((traj.spec.stocks[0].mu_max + 1,)
+                         + zero.buys[1:], zero.sells)
+    for alts, t0, T in (([zero] * 2, 0, 3), ([zero] * 3, -1, 3),
+                        ([zero] * 3, traj.n_slots - 2, 3), ([], 0, 0),
+                        ([over], 0, 1)):
+        got = outcome(verify_tslot_lemma, traj, alts, t0, T)
+        assert isinstance(got, tuple) and got[0] is StructuralError
+        assert got == outcome(reference_tslot_lemma, traj, alts, t0, T)
+
+
+def test_over_cap_book_is_a_located_fail():
+    # Each value outside 0..mu_max, read from a cost table, raised an
+    # IndexError or, when negative, wrapped round.
+    spec = MarketSpec((StockSpec(0, 1, 100), StockSpec(1, 2, 100)))
+    params = TraderParams(V=5)
+    trace = PriceTrace(((50, 60),) * 8)
+    for side, rule in (("buys", "buy_limit"), ("sells", "sell_limit")):
+        for value in (2, 3, -1):
+            traj = run_backtest(spec, params, trace, 8)
+            _set(getattr(traj, side), 6, 0, value)
+            _rebuild_queues(traj)
+            detail = {"rule": rule, "slot": 6, "stock": 0}
+            zero = [TradeDecision.zero(2)] * 4
+            assert verify_tslot_lemma(traj, zero, 4, 4) == BoundReport(
+                FAIL, -1.0, (4, 4), {"check": "frame_drift_bound", **detail})
+            assert verify_tslot_lemma(traj, zero, 0, 4).ok
+            alts = [(t, TradeDecision.zero(2)) for t in (3, 6, 7)]
+            assert verify_slot_optimality(traj, alts) == BoundReport(
+                FAIL, -1.0, 6, {"check": "slot_optimality", **detail})
+
+
+def test_thm3_checks_every_frame_and_keeps_a_passing_report():
+    rng = random.Random(23)
+    failed = 0
+    for trial in range(120):
+        traj = _lemma_book(rng)
+        T = rng.randint(1, 4)
+        forged = trial % 2
+        for _ in range(forged * traj.n_slots // 2):
+            _forge_in_caps(rng, traj)
+        cfg = SimpleNamespace(verify=("thm3",), window=T, seed=1)
+        got = cli._deterministic_checks(cfg, traj.spec, traj.params, traj,
+                                        2)["thm3"]
+        M = traj.n_slots // T
+        frames = [lookahead_psi(traj.spec, traj.prices[t0:t0 + T])
+                  for t0 in range(0, M * T, T)]
+        lemmas = [verify_tslot_lemma(traj, f.decisions, m * T, T)
+                  for m, f in enumerate(frames)]
+        bad = next((m for m, r in enumerate(lemmas) if not r.ok), None)
+        if bad is None:
+            assert got == verify_thm3(traj, [f.psi_cents for f in frames],
+                                      M, T), trial
+        else:
+            assert got == BoundReport(
+                FAIL, lemmas[bad].slack, {"rep": 2, "t0": bad * T},
+                {"check": "frame_lemma", "window": T}), trial
+            failed += 1
+            assert forged, trial
+    assert failed >= 10, failed
+
+
+# -- forged books through `lyaptrade verify` ---------------------------------
+
+TRACE = [(100, 200), (200, 100), (50, 150), (300, 50), (100, 100),
+         (250, 200), (50, 50), (300, 200)]
+
+
+def _verify(tmp_path, V, edit, checks):
+    """`lyaptrade verify` of `checks` on the book of an 8-slot, 2-stock
+    trace run (mu_max 1 each, a $3.00 money budget, window 4) after
+    `edit` sets cells {(slot, column): value}; queues are rebuilt so the
+    recursion holds.  Returns (exit code, reports)."""
+    trace = tmp_path / "trace.csv"
+    trace.write_text("slot,p_1,p_2\n" + "".join(
+        f"{t},{a / 100:.2f},{b / 100:.2f}\n" for t, (a, b) in enumerate(TRACE)))
+    doc = {"market": {"stocks": [{"mu_max": 1, "p_max": "3.00"},
+                                 {"mu_max": 1, "p_max": "2.00"}],
+                      "budget": {"mode": "money", "value": "3.00"}},
+           "trader": {"V": V}, "source": {"kind": "trace", "path": str(trace)},
+           "horizon": 8, "seed": 1, "write_trajectories": True,
+           "verify": ["dynamics"],
+           "options": {"window": 4, "optimality_slots": 200}}
+    run = tmp_path / "run.json"
+    run.write_text(json.dumps(doc))
+    out = tmp_path / "out"
+    assert cli.main(["run", "--config", str(run), "--out", str(out)]) == 0
+    book = out / "trajectory_0.csv"
+    lines = book.read_text().splitlines()
+    q = [1, 1]  # slot,p_1,p_2,A_1,A_2,mu_1,mu_2,Q_1,Q_2,profit
+    for t in range(8):
+        cols = lines[t + 1].split(",")
+        for (slot, col), value in edit.items():
+            if slot == t:
+                cols[col] = str(value)
+        for n in range(2):
+            q[n] = max(q[n] - int(cols[5 + n]) + int(cols[3 + n]), 0)
+            cols[7 + n] = str(q[n])
+        lines[t + 1] = ",".join(cols)
+    book.write_text("\n".join(lines) + "\n")
+    doc["verify"] = checks
+    cfg = tmp_path / "verify.json"
+    cfg.write_text(json.dumps(doc))
+    buf = io.StringIO()
+    with contextlib.redirect_stdout(buf):
+        code = cli.main(["verify", "--config", str(cfg),
+                         "--trajectory", str(book)])
+    return code, json.loads(buf.getvalue())["reports"]
+
+
+def test_over_cap_book_fails_thm3_and_slot_optimality(tmp_path):
+    # Slot 6 buys 2 shares of stock 0, whose mu_max is 1.
+    over = {(6, 3): 2}
+    rule = {"rule": "buy_limit", "slot": 6, "stock": 0}
+    code, reports = _verify(tmp_path, "5", over,
+                            ["dynamics", "queue_band", "frame_drift", "thm3"])
+    assert code == 2
+    assert [r["verdict"] for r in reports.values()] \
+        == ["pass", "pass", "pass", "fail"]
+    assert reports["thm3"]["locus"] == {"rep": 0, "t0": 4}
+    assert reports["thm3"]["detail"] == {"check": "frame_lemma", **rule,
+                                         "window": 4}
+    code, reports = _verify(tmp_path, "5", over,
+                            ["dynamics", "slot_optimality"])
+    assert code == 2
+    assert reports["slot_optimality"] == {
+        "verdict": "fail", "slack": -1.0, "locus": 6,
+        "detail": {"check": "slot_optimality", **rule}}
+
+
+def test_in_cap_book_breaking_the_lemma_fails_thm3_at_its_frame(tmp_path):
+    checks = ["dynamics", "queue_band", "frame_drift", "thm3"]
+    code, reports = _verify(tmp_path, "50", {}, checks)
+    assert code == 0, reports
+    # Slot 6 sells stock 0 at $0.50 instead of buying it, far below its
+    # target: within every cap, but no drift-plus-penalty minimum.
+    code, reports = _verify(tmp_path, "50", {(6, 3): 0, (6, 5): 1}, checks)
+    assert code == 2
+    assert [r["verdict"] for r in reports.values()] \
+        == ["pass", "pass", "pass", "fail"]
+    assert reports["thm3"]["locus"] == {"rep": 0, "t0": 4}
+    assert reports["thm3"]["detail"] == {"check": "frame_lemma", "window": 4}
+    assert reports["thm3"]["slack"] < 0
