@@ -2,7 +2,7 @@
 scaled-wealth experiments from one JSON config.
 
 Exit codes: 0 all checks pass, 2 deterministic check failed,
-3 statistical check failed, 4 capacity exceeded, 5 config error.
+3 statistical check failed, 4 capacity exceeded, 5 config or usage error.
 """
 
 from __future__ import annotations
@@ -370,8 +370,14 @@ def cmd_trace_convert(cfg: ExperimentConfig, input_path, cap_policy,
     return EXIT_OK
 
 
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):  # a usage error exits 5, not 2
+        self.print_usage(sys.stderr)
+        raise ConfigError(message, location=self.prog)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="lyaptrade",
         description="Queue-driven trading engine: backtests, exact "
                     "comparison oracles, and bound verification.")
@@ -401,8 +407,10 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     # No command calls BLAS: spare numpy's spinning OpenBLAS thread.
     os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
-    args = build_parser().parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
+        if args.jobs < 1:
+            raise ConfigError(f"must be at least 1, got {args.jobs}", "--jobs")
         cfg = load_config(args.config)
         if args.seed is not None:
             cfg = replace(cfg, seed=args.seed)

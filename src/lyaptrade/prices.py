@@ -9,6 +9,7 @@ and identical seeds reproduce identical sequences bit-for-bit.
 from __future__ import annotations
 
 import csv
+from bisect import bisect_right
 from dataclasses import dataclass
 from decimal import Decimal, InvalidOperation
 from itertools import accumulate, islice
@@ -153,26 +154,21 @@ def sample_iid_indices(dist: PriceDistribution, horizon: int,
 def markov_state_sequence(model: MarkovPriceModel, start: int, horizon: int,
                           rng: np.random.Generator) -> list:
     """States visited over a horizon, starting from (and including) start."""
-    import numpy as np
     if not 0 <= start < model.n_states:
         raise StructuralError(f"unknown state id {start}")
     # Float CDFs summed left to right, as np.cumsum does.  A draw at or
     # past a row's last entry (a float sum may end below 1.0) goes to the
     # last state, so that entry is left out of the search.
-    cdfs = [np.array(list(accumulate(float(x) for x in row))[:-1])
+    cdfs = [list(accumulate(float(x) for x in row))[:-1]
             for row in model.transition]
     draws = rng.random(horizon)
-    # Successors of every state for a block of draws at a time, so the
-    # lists hold at most 2**16 entries whatever the number of states.
-    block = max(1, 2 ** 16 // len(cdfs))
     out = []
     state = start
-    for lo in range(0, horizon, block):
-        u = draws[lo:lo + block]
-        succ = [np.searchsorted(cdf, u, side="right").tolist() for cdf in cdfs]
-        for t in range(len(u)):
+    # The draws become Python floats 2**16 at a time, not all at once.
+    for lo in range(0, horizon, 2 ** 16):
+        for u in draws[lo:lo + 2 ** 16].tolist():
             out.append(state)
-            state = succ[state][t]
+            state = bisect_right(cdfs[state], u)
     return out
 
 

@@ -135,10 +135,11 @@ class SlotSolver:
     solver to combine.  Decisions depend only on (queue, prices), so for
     as long as the solver lives, across every run given it, `memo` maps
     each price support of k vectors of an iid or Markov run to its walk
-    table (nodes, cells).  `nodes` numbers each queue vector on its first
-    visit and maps it to its row offset node * k in `cells`.  The cell at
-    offset + code holds (prices, step, successor offset) once the pair
-    (queue, support[code]) is solved, else None.
+    table of flat lists (nodes, queues, steps, succ): `nodes` numbers
+    each queue vector, `queues[node]`, on its first visit and maps it
+    to its row offset node * k.  Cell i = node * k + code, the pair
+    (queues[node], support[code]), holds its step in `steps[i]` and its
+    next queue's row offset in `succ[i]`, -1 until it is solved.
     """
 
     def __init__(self, spec: MarketSpec, params: TraderParams):
@@ -470,9 +471,10 @@ class Trajectory:
         return traj
 
 
-def _price_sequence(spec, source, horizon, seed, stream):
-    """(None, prices) for a trace; (support, per-slot support indices)
-    for an iid or Markov source."""
+def _walk_start(spec, params, solver, source, horizon, seed, stream):
+    """(solver, support, seq, walk table, start row offset) of a run, the
+    solver fresh when None; seq holds support indices.  A trace is solved
+    here with no memo: seq holds its steps, the rest is None."""
     if horizon < 1:
         raise StructuralError("horizon must be at least 1")
     if isinstance(source, PriceTrace):
@@ -480,61 +482,48 @@ def _price_sequence(spec, source, horizon, seed, stream):
             raise StructuralError(
                 f"trace has {len(source)} slots, horizon is {horizon}")
         source.check_against(spec, horizon)
-        return None, source.sequence[:horizon]
-    rng = make_rng(seed, stream)
-    if isinstance(source, PriceDistribution):
+        support, seq = None, source.sequence[:horizon]
+    elif isinstance(source, PriceDistribution):
         source.check_against(spec)
-        return source.support, sample_iid_indices(source, horizon, rng)
-    if isinstance(source, MarkovPriceModel):
+        support = source.support
+        seq = sample_iid_indices(source, horizon, make_rng(seed, stream))
+    elif isinstance(source, MarkovPriceModel):
         source.check_against(spec)
-        return source.states, markov_state_sequence(source, 0, horizon, rng)
-    raise StructuralError(f"unknown price source {type(source).__name__}")
-
-
-def _slots(spec, params, solver, source, horizon, seed, stream):
-    """Yield (prices, (sells, buys, profit, next queue), successor) for
-    every slot, each distinct (queue, support index) pair solved once per
-    solver (a fresh one when solver is None) and its successor the next
-    queue's offset in the walk table; a trace's slots are solved with no
-    memo and a successor of None."""
-    support, seq = _price_sequence(spec, source, horizon, seed, stream)
+        support = source.states
+        seq = markov_state_sequence(source, 0, horizon, make_rng(seed, stream))
+    else:
+        raise StructuralError(f"unknown price source {type(source).__name__}")
     if solver is None:
         solver = SlotSolver(spec, params)
     elif solver.spec != spec or solver.params != params:
         raise StructuralError("solver was built for a different market "
                               "or trader parameters")
-    step = solver.step
     q = params.resolved_initial_queue(spec)
     if support is None:
-        for p in seq:
-            hit = step(p, q)
-            yield p, hit, None
-            q = hit[3]
-        return
-    nodes, cells = solver.memo.setdefault(support, ({}, []))
+        hit = (None, None, None, q)   # each slot starts from the last's queue
+        hits = [hit := solver.step(p, hit[3]) for p in seq]
+        return solver, None, hits, None, None
+    table = solver.memo.setdefault(support, ({}, [], [], []))
+    return solver, support, seq, table, _row(table, len(support), q)
+
+
+def _row(table, k, queue) -> int:
+    """Row offset of queue in a walk table; k new cells on a first visit."""
+    nodes, queues, steps, succ = table
+    if queue not in nodes:
+        nodes[queue] = len(succ)
+        queues.append(queue)
+        steps += [None] * k
+        succ += [-1] * k
+    return nodes[queue]
+
+
+def _solve_cell(solver, support, table, i) -> int:
+    """Solve cell i of a walk table; return its successor's row offset."""
     k = len(support)
-
-    def row(queue):
-        base = nodes.get(queue)
-        if base is None:
-            base = nodes[queue] = len(nodes) * k
-            if base == len(cells):
-                # Doubling: a long list grown a row at a time is copied
-                # often enough to slow the solver down.
-                cells.extend([None] * max(k, base))
-        return base
-
-    # The cell whose step reached the current queue; at the start, a
-    # stand-in holding the initial queue.
-    last = (None, (None, None, None, q), row(q))
-    for code in seq:
-        cell = cells[last[2] + code]
-        if cell is None:
-            p = support[code]
-            hit = step(p, last[1][3])
-            cell = cells[last[2] + code] = (p, hit, row(hit[3]))
-        yield cell
-        last = cell
+    hit = table[2][i] = solver.step(support[i % k], table[1][i // k])
+    table[3][i] = base = _row(table, k, hit[3])
+    return base
 
 
 def run_backtest(spec: MarketSpec, params: TraderParams, source,
@@ -543,13 +532,22 @@ def run_backtest(spec: MarketSpec, params: TraderParams, source,
     """Full per-slot trajectory; deterministic given (seed, stream).
     A solver built for (spec, params) may be passed to share its memo."""
     traj = Trajectory(spec, params, params.resolved_initial_queue(spec))
-    ap, ab, as_, aq, apr = (traj.prices.append, traj.buys.append,
-                            traj.sells.append, traj.queues.append,
-                            traj.profits.append)
-    for p, (sells, buys, profit, nq), _ in _slots(spec, params, solver,
-                                                 source, horizon, seed,
-                                                 stream):
-        ap(p); ab(buys); as_(sells); aq(nq); apr(profit)
+    solver, support, seq, table, base = _walk_start(
+        spec, params, solver, source, horizon, seed, stream)
+    if support is None:
+        traj.prices, hits = list(source.sequence[:horizon]), seq
+    else:
+        traj.prices = list(map(support.__getitem__, seq))
+        steps, succ = table[2:]
+        hits = []
+        for code in seq:
+            i = base + code
+            base = succ[i]
+            if base < 0:
+                base = _solve_cell(solver, support, table, i)
+            hits.append(steps[i])
+    traj.sells, traj.buys, traj.profits, traj.queues = (
+        list(map(itemgetter(j), hits)) for j in range(4))
     return traj
 
 
@@ -557,11 +555,19 @@ def run_profit(spec: MarketSpec, params: TraderParams, source,
                horizon: int, seed: int = 0, stream: int = 0, *,
                solver: SlotSolver | None = None):
     """Light-weight run: (total profit cents, final queue), no records."""
+    solver, support, seq, table, base = _walk_start(
+        spec, params, solver, source, horizon, seed, stream)
+    if support is None:
+        return sum(map(itemgetter(2), seq)), seq[-1][3]
+    queues, steps, succ = table[1:]
     total = 0
-    for _, (_, _, profit, q), _ in _slots(spec, params, solver, source,
-                                          horizon, seed, stream):
-        total += profit
-    return total, q
+    for code in seq:
+        i = base + code
+        base = succ[i]
+        if base < 0:
+            base = _solve_cell(solver, support, table, i)
+        total += steps[i][2]
+    return total, queues[base // len(support)]
 
 
 def scaled_windows_run(spec: MarketSpec, params: TraderParams, beta,

@@ -201,6 +201,24 @@ class TestRun:
         b = json.loads((tmp_path / "p" / "summary.json").read_text())
         assert a["content_hash"] == b["content_hash"]
 
+    @pytest.mark.parametrize("command", ["run", "oracle"])
+    @pytest.mark.parametrize("args, message", [
+        (["--jobs", "0"], "--jobs: must be at least 1, got 0"),
+        (["--jobs", "-1"], "--jobs: must be at least 1, got -1"),
+        (["--jobs", "x"], "argument --jobs: invalid int value: 'x'"),
+        (["--bogus"], "unrecognized arguments: --bogus"),
+    ])
+    def test_usage_error_is_a_located_config_error(self, tmp_path, capsys,
+                                                   command, args, message):
+        doc = dict(BASE, oracle={"mode": "phi_opt"})
+        cfg = write_config(tmp_path, doc)
+        out = tmp_path / "out"
+        assert main([command, "--config", cfg, "--out", str(out), *args]) \
+            == cli.EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert "config: " in err and message in err, err
+        assert not out.exists()
+
     def test_jobs_deal_markov_replications_into_blocks(self, tmp_path):
         doc = dict(BASE, replications=5, horizon=400, source={
             "kind": "markov", "states": [["1.00"], ["2.00"], ["1.50"]],

@@ -17,7 +17,7 @@ from lyaptrade import (BudgetMode, CostFunction, MarketSpec, MarkovPriceModel,
                        validate_decision)
 from lyaptrade.cli import main
 from lyaptrade.errors import ConfigError, StructuralError
-from lyaptrade.trader import SlotSolver, _slots
+from lyaptrade.trader import SlotSolver
 
 from conftest import (buy_coeffs, one_stock_spec, random_small_spec,
                       uniform_two_price)
@@ -438,9 +438,41 @@ class TestRuns:
                               stream=stream)
         # Later streams replay pairs the first ones solved.
         assert list(shared.memo) == [markov.states]
-        _, cells = shared.memo[markov.states]
-        solved = sum(c is not None for c in cells)
-        assert 0 < solved < 600
+        succ = shared.memo[markov.states][3]
+        assert 0 < sum(s >= 0 for s in succ) < 600
+
+    def test_walk_table_links_each_solved_cell_to_its_next_queue(self, rng):
+        spec = MarketSpec((StockSpec(0, 2, 300, CostFunction("fixed", fee=7),
+                                     CostFunction("linear", rate=2)),
+                           StockSpec(1, 3, 200)),
+                          BudgetMode("money", money=350))
+        params = TraderParams(V=20)
+        iid = PriceDistribution(
+            tuple(tuple(rng.randrange(0, s.p_max + 1) for s in spec.stocks)
+                  for _ in range(5)), (Fraction(1, 5),) * 5)
+        markov = MarkovPriceModel(((100, 200), (250, 50), (150, 150)),
+                                  ((0.5, 0.3, 0.2), (0.1, 0.6, 0.3),
+                                   (0.4, 0.4, 0.2)))
+        shared = SlotSolver(spec, params)
+        for source, support in ((iid, iid.support), (markov, markov.states)):
+            k = len(support)
+            for stream in range(4):
+                run = (run_backtest, run_profit)[stream % 2]
+                run(spec, params, source, 300, seed=3, stream=stream,
+                    solver=shared)
+                nodes, queues, steps, succ = shared.memo[support]
+                assert len(steps) == len(succ) == k * len(queues)
+                assert nodes == {q: j * k for j, q in enumerate(queues)}
+                for i, (hit, nxt) in enumerate(zip(steps, succ)):
+                    if hit is None:
+                        assert nxt == -1
+                    else:
+                        assert nxt % k == 0
+                        assert queues[nxt // k] == hit[3]
+                        assert hit == shared.step(support[i % k],
+                                                  queues[i // k])
+            # Later streams replay cells the first ones solved.
+            assert 0 < sum(nxt >= 0 for nxt in succ) < 4 * 300
 
     def test_mismatched_solver_rejected(self):
         spec = one_stock_spec()
@@ -481,13 +513,9 @@ class TestRuns:
         trace = PriceTrace(tuple((rng.randrange(0, 301), rng.randrange(0, 201))
                                  for _ in range(horizon)))
         solver = SlotSolver(spec, params)
-        visited = [set() for _ in spec.stocks]
-        q = params.resolved_initial_queue(spec)
-        for _, (_, _, _, nq), _ in _slots(spec, params, solver, trace,
-                                          horizon, 0, 0):
-            for seen, v in zip(visited, q):
-                seen.add(v)
-            q = nq
+        traj = run_backtest(spec, params, trace, horizon, solver=solver)
+        visited = [set(column) for column in zip(
+            traj.initial_queue, *traj.queues[:-1])]
         assert solver.memo == {}
         for s, table, seen in zip(spec.stocks, solver.tables, visited):
             assert {v for v, _ in table} == seen

@@ -1,5 +1,5 @@
-"""Parity of the walk table and the block-wise Markov sampler with the
-code they replaced.
+"""Parity of the flat walk table and the per-draw Markov sampler with
+the code they replaced.
 
 The reference copies below are verbatim: `reference_state_sequence`
 draws each Markov state with a Python `bisect_right`, and
@@ -165,7 +165,7 @@ def test_markov_sampler_matches_bisect_reference():
                          tuple(tuple(Fraction(1, 7) for _ in range(7))
                                for _ in range(7))),
         MarkovPriceModel(((100,),), ((1,),)),
-        # Enough states that the successor lists come in many blocks.
+        # Enough states that a linear scan of a row would be slow.
         MarkovPriceModel(tuple((s,) for s in range(300)),
                          tuple(tuple(Fraction(int(j in (i, (i + 1) % 300)),
                                               2) for j in range(300))
@@ -200,6 +200,54 @@ def test_markov_sampler_matches_bisect_reference():
                     == reference_state_sequence(model, s, 2, Draws([top])) \
                     == [s, k - 1]
     assert below_one >= 9, below_one
+
+
+def many_state_chain(rng, k) -> MarkovPriceModel:
+    """A k-state chain whose rows put 100 units on a random number of
+    states, at least a tenth of them on the next state, so most rows of a
+    large chain hold zeros.  A row is in Fractions or in decimal floats
+    such as 0.07, whose float CDF may end below 1.0."""
+    rows = []
+    for i in range(k):
+        units = [0] * k
+        units[(i + 1) % k] = 10
+        spread = rng.sample(range(k), rng.randint(1, k))
+        for _ in range(90):
+            units[rng.choice(spread)] += 1
+        if rng.random() < 0.5:
+            rows.append(tuple(u / 100 for u in units))
+        else:
+            rows.append(tuple(Fraction(u, 100) for u in units))
+    return MarkovPriceModel(tuple((s,) for s in range(k)), tuple(rows))
+
+
+def test_many_state_sampler_matches_bisect_reference():
+    rng = random.Random(2718)
+    below_one, zeros = {}, 0
+    for k in (2, 16, 64):
+        for _ in range(3):
+            model = many_state_chain(rng, k)
+            ends = [list(accumulate(float(x) for x in row))[-1]
+                    for row in model.transition]
+            below_one[k] = below_one.get(k, 0) + sum(e < 1.0 for e in ends)
+            zeros += sum(0 in row for row in model.transition)
+            edges = edge_draws(model)
+            # One draw past the sampler's 2**16-draw block of floats, and
+            # past the successor-list block of the sampler before it.
+            for horizon in (1, 2 ** 16 // k + 1, 2 ** 16 + 7):
+                start = rng.randrange(k)
+                chosen = edges[rng.randrange(len(edges)):] + edges
+                assert markov_state_sequence(model, start, horizon,
+                                             Draws(chosen)) \
+                    == reference_state_sequence(model, start, horizon,
+                                                Draws(chosen))
+                assert markov_state_sequence(
+                    model, start, horizon, make_rng(k, horizon)) \
+                    == reference_state_sequence(
+                        model, start, horizon, make_rng(k, horizon))
+    # Two float terms tend to sum to 1.0 exactly; many seldom do.
+    assert below_one[16] >= 2 and below_one[64] >= 5 and zeros >= 100, \
+        (below_one, zeros)
 
 
 def duplicated_support(rng, spec, n):
@@ -272,8 +320,9 @@ def test_runs_match_reference_memo():
                                   stream=stream) == expected
             # Both indices of the repeated price vector were solved.
             k = len(support)
-            _, cells = live.memo[vectors]
-            seen["duplicate"] += any(cells[0::k]) and any(cells[k - 1::k])
+            succ = live.memo[vectors][3]
+            seen["duplicate"] += max(succ[0::k]) >= 0 \
+                and max(succ[k - 1::k]) >= 0
             seen["sources"].add(type(source).__name__)
         seen["cases"].add((solver_name, budget))
         seen["costs"].update(c for s in spec.stocks
