@@ -19,7 +19,7 @@ from .errors import StatisticalPowerError, StructuralError
 from .market import (BUY_LIMIT, SELL_LIMIT, MarketSpec, TradeDecision,
                      slot_profit, validate_decision)
 from .money import _as_fraction, cents_to_units
-from .trader import SlotSolver, TraderParams, Trajectory, queue_band
+from .trader import TraderParams, Trajectory, queue_band, scaled_terms
 
 PASS, FAIL, VACUOUS = "pass", "fail", "vacuous-pass"
 
@@ -152,6 +152,8 @@ def _cap_breach(traj: Trajectory, slots, check, locus):
     0..mu_max), else None.  The cost tables hold no other quantity."""
     for t in slots:
         for s, m, a in zip(traj.spec.stocks, traj.sells[t], traj.buys[t]):
+            if 0 <= m <= s.mu_max and 0 <= a <= s.mu_max:
+                continue
             for rule, v in ((SELL_LIMIT, m), (BUY_LIMIT, a)):
                 if not 0 <= v <= s.mu_max:
                     return BoundReport(FAIL, -1.0, locus,
@@ -167,9 +169,8 @@ def verify_slot_optimality(traj: Trajectory, alternatives) -> BoundReport:
 
     alternatives: iterable of (slot, TradeDecision)."""
     spec, params = traj.spec, traj.params
-    solver = SlotSolver(spec, params)
-    worst = math.inf
-    locus = None
+    terms = scaled_terms(spec, params)
+    worst, locus = math.inf, None
     for t, alt in alternatives:
         if not 0 <= t < traj.n_slots:
             raise StructuralError(f"slot {t} outside trajectory")
@@ -179,16 +180,16 @@ def verify_slot_optimality(traj: Trajectory, alternatives) -> BoundReport:
         prices = traj.prices[t]
         _check_alternative(spec, prices, alt)
         q = traj.queue_at(t)
-        ours = solver.scaled_objective(prices, q, traj.sells[t], traj.buys[t])
-        theirs = solver.scaled_objective(prices, q, alt.sells, alt.buys)
+        ours = terms.scaled_objective(prices, q, traj.sells[t], traj.buys[t])
+        theirs = terms.scaled_objective(prices, q, alt.sells, alt.buys)
         slack = theirs - ours
         if slack < 0:
-            return BoundReport(FAIL, float(Fraction(slack, solver.scale)),
+            return BoundReport(FAIL, float(Fraction(slack, terms.scale)),
                                t, {"check": "slot_optimality"})
         if slack < worst:
             worst, locus = slack, t
-    scale = solver.scale
-    worst_f = math.inf if worst is math.inf else float(Fraction(worst, scale))
+    worst_f = math.inf if worst is math.inf \
+        else float(Fraction(worst, terms.scale))
     return BoundReport(PASS, worst_f, locus, {"check": "slot_optimality"})
 
 
@@ -198,18 +199,10 @@ def _phi_dollars(spec, prices, d: TradeDecision) -> Fraction:
 
 @functools.lru_cache(maxsize=8)
 def _lemma_terms(spec: MarketSpec, params: TraderParams, window: int):
-    """(S, S*theta, k, 2S^2*D*T^2, sell and buy cost tables) for the frame
-    lemma, built once per (spec, params, window); 2D*T^2 is an integer."""
-    theta = params.resolved_theta(spec)
-    S = math.lcm(100 * params.V.denominator, *(t.denominator for t in theta))
+    """(scaled_terms(spec, params), the integer 2S²·D·T²) for the lemma."""
+    terms = scaled_terms(spec, params)
     D = compute_constants(spec, window).D
-    return (S, tuple(int(t * S) for t in theta),
-            S // (100 * params.V.denominator) * params.V.numerator,
-            int(2 * S * S * D * window * window),
-            tuple(tuple(map(s.sell_cost, range(s.mu_max + 1)))
-                  for s in spec.stocks),
-            tuple(tuple(map(s.buy_cost, range(s.mu_max + 1)))
-                  for s in spec.stocks))
+    return terms, int(2 * terms.scale ** 2 * D * window ** 2)
 
 
 def verify_tslot_lemma(traj: Trajectory, alt_sequence, t0: int,
@@ -233,20 +226,20 @@ def verify_tslot_lemma(traj: Trajectory, alt_sequence, t0: int,
     breach = _cap_breach(traj, slots, "frame_drift_bound", (t0, T))
     if breach:
         return breach
-    S, thetaS, k, bound, sell_cost, buy_cost = _lemma_terms(
-        traj.spec, traj.params, T)
+    spec = traj.spec
+    terms, bound = _lemma_terms(spec, traj.params, T)
+    S, thetaS, profit = terms.scale, terms.thetaS, terms.profit
     gain = 0  # our frame profit less the alternative's, in cents
-    for t, alt in zip(slots, alt_sequence):
-        _check_alternative(traj.spec, traj.prices[t], alt)
-        for p, sc, bc, m, a, m2, a2 in zip(traj.prices[t], sell_cost,
-                                           buy_cost, traj.sells[t],
-                                           traj.buys[t], alt.sells, alt.buys):
-            gain += (m - a - m2 + a2) * p - sc[m] - bc[a] + sc[m2] + bc[a2]
+    for p, m, a, alt in zip(traj.prices[t0:t0 + T], traj.sells[t0:t0 + T],
+                            traj.buys[t0:t0 + T], alt_sequence):
+        _check_alternative(spec, p, alt)
+        gain += profit(p, m, a) - profit(p, alt.sells, alt.buys)
     net = map(sum, zip(*(map(sub, alt.sells, alt.buys)
                          for alt in alt_sequence)))
     x0 = [S * q - ts for q, ts in zip(traj.queue_at(t0), thetaS)]
     x1 = [S * q - ts for q, ts in zip(traj.queue_at(t0 + T), thetaS)]
-    slack = bound + 2 * S * (k * gain + sum(map(mul, map(abs, x0), net))) \
+    slack = bound + 2 * S * (terms.k * gain
+                             + sum(map(mul, map(abs, x0), net))) \
         - sum(b * b - a * a for a, b in zip(x0, x1))
     return BoundReport(PASS if slack >= 0 else FAIL, slack / (2 * S * S),
                        (t0, T), {"check": "frame_drift_bound"})

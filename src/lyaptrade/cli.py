@@ -102,14 +102,10 @@ def _deterministic_checks(cfg, spec, params, traj: Trajectory, rep: int,
             rng = make_rng(cfg.seed, 10 ** 6 + rep)
             slots = sorted(set(int(t) for t in rng.integers(
                 0, traj.n_slots, size=k))) if traj.n_slots else []
-            scorer = SlotSolver(spec, params)
-            alts = []
-            for t in slots:
-                alts.append((t, brute_force_slot_min(
-                    params, spec, traj.prices[t], traj.queue_at(t),
-                    solver=scorer)))
-                alts.append((t, TradeDecision.zero(spec.n_stocks)))
-            reports[name] = verify_slot_optimality(traj, alts)
+            zero = TradeDecision.zero(spec.n_stocks)
+            reports[name] = verify_slot_optimality(traj, [
+                (t, d) for t in slots for d in (brute_force_slot_min(
+                    params, spec, traj.prices[t], traj.queue_at(t)), zero)])
         elif name == "frame_drift":
             T = cfg.window
             t0 = check_frame_drift(traj, T, columns)
@@ -282,9 +278,10 @@ def cmd_oracle(cfg: ExperimentConfig, out_dir, jobs: int) -> int:
         M = min(cfg.horizon, len(source)) // T
         frames = [source.sequence[m * T:(m + 1) * T] for m in range(M)]
         worker = functools.partial(lookahead_psi, spec)
-        if jobs > 1:
+        # One worker per frame at most; a pool of 0 workers is an error.
+        if (workers := min(jobs, len(frames))) > 1:
             from concurrent.futures import ProcessPoolExecutor
-            with ProcessPoolExecutor(max_workers=jobs) as pool:
+            with ProcessPoolExecutor(max_workers=workers) as pool:
                 values = list(pool.map(worker, frames))
         else:
             values = [worker(f) for f in frames]

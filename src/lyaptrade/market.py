@@ -190,7 +190,7 @@ class MarketSpec:
 
     def check_prices(self, prices) -> tuple:
         """Validate a per-stock cents price vector against the caps."""
-        prices = tuple(int(p) for p in prices)
+        prices = tuple(map(int, prices))
         if len(prices) != self.n_stocks:
             raise StructuralError(
                 f"price vector has {len(prices)} entries, expected {self.n_stocks}")

@@ -19,7 +19,7 @@ from .errors import CapacityError, StructuralError
 from .market import MarketSpec, TradeDecision, slot_profit
 from .money import cents_to_units
 from .prices import PriceDistribution
-from .trader import SlotSolver, TraderParams, capacity_cells
+from .trader import TraderParams, capacity_cells, scaled_terms
 
 DEFAULT_ENUM_CAP = 10 ** 6
 DEFAULT_SEARCH_CAP = 10 ** 8  # lookahead DP states
@@ -33,11 +33,10 @@ class ActionSet:
     actions: tuple  # of TradeDecision
 
 
-def _feasible(spec: MarketSpec, prices, queue):
+def _feasible(spec: MarketSpec, prices, queue, cap: int):
     """(buy vectors, sell vectors) for checked prices; every pair of one
     of each is feasible, and there are no other feasible pairs.  The size
-    bound is checked against the cap before anything is built."""
-    cap = capacity_cells(DEFAULT_ENUM_CAP)
+    bound is checked against `cap` before anything is built."""
     sell_opts = []
     for n, s in enumerate(spec.stocks):
         hi = s.mu_max if queue is None else min(s.mu_max, queue[n])
@@ -62,7 +61,8 @@ def enumerate_actions(spec: MarketSpec, prices, queue=None) -> ActionSet:
     passing a queue additionally caps sells by current holdings.
     """
     prices = spec.check_prices(prices)
-    buy_set, sell_set = _feasible(spec, prices, queue)
+    buy_set, sell_set = _feasible(spec, prices, queue,
+                                  capacity_cells(DEFAULT_ENUM_CAP))
     return ActionSet(prices, tuple(TradeDecision(buys, sells)
                                    for buys in buy_set for sells in sell_set))
 
@@ -105,34 +105,23 @@ def solve_phi_opt(spec: MarketSpec, dist: PriceDistribution) -> PonlySolution:
 
     dist.check_against(spec)
     sets = [enumerate_actions(spec, p) for p in dist.support]
-    index = []
-    for i, aset in enumerate(sets):
-        for j in range(len(aset.actions)):
-            index.append((i, j))
-    objective = [dist.probs[i] * cents_to_units(
-        slot_profit(spec, sets[i].price, sets[i].actions[j]))
-        for i, j in index]
-    constraints = []
-    for i in range(len(sets)):
-        row = [1 if ii == i else 0 for ii, _ in index]
-        constraints.append((row, EQ, 1))
-    for n in range(spec.n_stocks):
-        row = [dist.probs[i] * (sets[i].actions[j].buys[n]
-                                - sets[i].actions[j].sells[n])
-               for i, j in index]
-        constraints.append((row, GEQ, 0))
+    # One column per (support index, action), price by price.
+    cols = [(i, aset.price, d) for i, aset in enumerate(sets)
+            for d in aset.actions]
+    objective = [dist.probs[i] * cents_to_units(slot_profit(spec, p, d))
+                 for i, p, d in cols]
+    constraints = [([int(k == i) for k, _, _ in cols], EQ, 1)
+                   for i in range(len(sets))]
+    constraints += [([dist.probs[i] * (d.buys[n] - d.sells[n])
+                      for i, _, d in cols], GEQ, 0)
+                    for n in range(spec.n_stocks)]
     _, x = solve_lp(objective, constraints, maximize=True)
-    table = []
-    pos = 0
-    for i, aset in enumerate(sets):
-        acts = []
-        for j in range(len(aset.actions)):
-            q = x[pos]
-            pos += 1
-            if q > 0:
-                acts.append((aset.actions[j], q))
-        table.append((aset.price, tuple(acts)))
-    policy = PonlyPolicy(tuple(table))
+    # x lists each support price's action weights in turn; zip takes
+    # exactly len(actions) of them per price.
+    weights = iter(x)
+    policy = PonlyPolicy(tuple(
+        (aset.price, tuple((d, q) for d, q in zip(aset.actions, weights)
+                           if q > 0)) for aset in sets))
     profit, drifts = _evaluate_policy(spec, dist, policy.table)
     if profit < 0:
         raise StructuralError("optimal price-only profit cannot be negative")
@@ -191,7 +180,7 @@ class LookaheadResult:
     decisions: tuple  # length-T TradeDecision sequence
 
 
-def _frame_dp(spec: MarketSpec, window) -> tuple:
+def _frame_dp(spec: MarketSpec, window, cap: int) -> tuple:
     """(best profit, one (buys, sells) per slot) over a frame of checked
     prices.  Keeping each slot's first action per net delta in descending
     profit order makes ties resolve to the lex-first optimal sequence."""
@@ -205,7 +194,7 @@ def _frame_dp(spec: MarketSpec, window) -> tuple:
     for p in window:
         # Every cost is 0 at 0 shares, so an action's profit and delta are
         # its buy side's plus its sell side's: each side is scored once.
-        buy_set, sell_set = _feasible(spec, p, None)
+        buy_set, sell_set = _feasible(spec, p, None, cap)
         buys = [(-sum(s.outlay(a, q) for s, q, a in zip(spec.stocks, p, b)),
                  sum(a * w for a, w in zip(b, strides)), b) for b in buy_set]
         sells = [(sum(s.proceeds(m, q) for s, q, m in zip(spec.stocks, p, v)),
@@ -274,8 +263,9 @@ def lookahead_psi(spec: MarketSpec, window) -> LookaheadResult:
         raise CapacityError(
             f"lookahead frame needs up to {states} states, over the cap "
             f"of {cap}; use a smaller frame")
-    solved = [_frame_dp(g, [tuple(p[i] for i in cols) for p in window])
-              for g, cols in groups]
+    enum_cap = capacity_cells(DEFAULT_ENUM_CAP)
+    solved = [_frame_dp(g, [tuple(p[i] for i in cols) for p in window],
+                        enum_cap) for g, cols in groups]
     psi = sum(value for value, _ in solved)
     if psi <= 0:
         return LookaheadResult(
@@ -287,20 +277,20 @@ def lookahead_psi(spec: MarketSpec, window) -> LookaheadResult:
 
 
 def brute_force_slot_min(params: TraderParams, spec: MarketSpec,
-                         prices, queue, *,
-                         solver: SlotSolver | None = None) -> TradeDecision:
+                         prices, queue) -> TradeDecision:
     """Exhaustive minimizer of the per-slot trading objective over the
     full joint feasible set (ownership included); the independent oracle
-    the per-slot optimality checks compare against.  Ties prefer the
-    smaller trade, then the lower stock index.  A solver built for
-    (spec, params) may be passed to score with.
+    the per-slot optimality checks compare against, scored by
+    `scaled_terms(spec, params)`.  Ties prefer the smaller trade, then
+    the lower stock index.
 
     Every cost is 0 at 0 shares, so a pair's objective and share count
     are sums over its sides, and sells lead sells + buys at fixed length:
     the least pair joins each side's least (objective, shares, vector)."""
     prices = spec.check_prices(prices)
-    score = (solver or SlotSolver(spec, params)).scaled_objective
-    buy_set, sell_set = _feasible(spec, prices, queue)
+    score = scaled_terms(spec, params).scaled_objective
+    buy_set, sell_set = _feasible(spec, prices, queue,
+                                  capacity_cells(DEFAULT_ENUM_CAP))
     zero = (0,) * spec.n_stocks
     _, _, sells = min((score(prices, queue, sells, zero), sum(sells), sells)
                       for sells in sell_set)

@@ -16,6 +16,7 @@ formulas exactly.
 from __future__ import annotations
 
 import csv
+import functools
 import math
 import os
 from dataclasses import dataclass, field
@@ -124,20 +125,67 @@ def queue_band(spec: MarketSpec, params: TraderParams) -> tuple:
                  for s in spec.stocks)
 
 
+@dataclass(frozen=True)
+class ScaledTerms:
+    """The slot objective's integer frame for one (spec, params) pair.
+
+    S = lcm(100 * den(V), den(theta_n)) scales the objective so every
+    comparison is between Python ints.  k = S*V/100 multiplies any cents
+    quantity to form a scaled V*money term, thetaS[n] = S*theta_n, and
+    sell_cost[n][m], buy_cost[n][a] are stock n's costs in cents."""
+
+    scale: int
+    k: int
+    thetaS: tuple
+    sell_cost: tuple
+    buy_cost: tuple
+
+    def scaled_objective(self, prices, queue, sells, buys) -> int:
+        """S * (-V*profit - sum_n (Q_n - theta_n)(mu_n - A_n)), an integer."""
+        S = self.scale
+        return -self.k * self.profit(prices, sells, buys) - sum(
+            (S * q - t) * (m - a)
+            for q, t, m, a in zip(queue, self.thetaS, sells, buys))
+
+    def profit(self, prices, sells, buys) -> int:
+        """market.slot_profit read from the cost tables, for the hot path."""
+        total = 0
+        for n, p in enumerate(prices):
+            total += sells[n] * p - self.sell_cost[n][sells[n]]
+            total -= buys[n] * p + self.buy_cost[n][buys[n]]
+        return total
+
+
+@functools.lru_cache(maxsize=8)
+def scaled_terms(spec: MarketSpec, params: TraderParams) -> ScaledTerms:
+    """The ScaledTerms of (spec, params), built once per pair."""
+    theta = params.resolved_theta(spec)
+    if len(theta) != spec.n_stocks:
+        raise StructuralError("theta dimensioned for a different market")
+    den = 100 * params.V.denominator
+    S = math.lcm(den, *(t.denominator for t in theta))
+    return ScaledTerms(S, S // den * params.V.numerator,
+                       tuple(int(t * S) for t in theta),
+                       tuple(tuple(map(s.sell_cost, range(s.mu_max + 1)))
+                             for s in spec.stocks),
+                       tuple(tuple(map(s.buy_cost, range(s.mu_max + 1)))
+                             for s in spec.stocks))
+
+
 class SlotSolver:
     """Precomputed scaled-integer solver for one (spec, params) pair.
 
-    The slot objective is scaled by S = lcm(100 * den(V), den(theta_n)) so
-    every comparison is between Python ints.  k = S*V/100 multiplies any
-    cents quantity to form a scaled V*money term.  Only the purchase
-    budget couples the stocks, so `tables[n]` keeps stock n's entry per
-    (q_n, p_n) pair seen, at most p_max_n + 1 per queue value, for the buy
-    solver to combine.  Decisions depend only on (queue, prices), so for
-    as long as the solver lives, across every run given it, `memo` maps
-    each price support of k vectors of an iid or Markov run to its walk
-    table of flat lists (nodes, queues, steps, succ): `nodes` numbers
-    each queue vector, `queues[node]`, on its first visit and maps it
-    to its row offset node * k.  Cell i = node * k + code, the pair
+    Every comparison is between Python ints, in the frame of
+    `terms = scaled_terms(spec, params)`: its scale S, k = S*V/100, S*theta
+    and the per-stock cost tables.  Only the purchase budget couples the
+    stocks, so `tables[n]` keeps stock n's entry per (q_n, p_n) pair
+    seen, at most p_max_n + 1 per queue value, for the buy solver to
+    combine.  Decisions depend only on (queue, prices), so for as long
+    as the solver lives, across every run given it, `memo` maps each
+    price support of k vectors of an iid or Markov run to its walk table
+    of flat lists (nodes, queues, steps, succ): `nodes` numbers each
+    queue vector, `queues[node]`, on its first visit and maps it to its
+    row offset node * k.  Cell i = node * k + code, the pair
     (queues[node], support[code]), holds its step in `steps[i]` and its
     next queue's row offset in `succ[i]`, -1 until it is solved.
     """
@@ -145,21 +193,8 @@ class SlotSolver:
     def __init__(self, spec: MarketSpec, params: TraderParams):
         self.spec = spec
         self.params = params
-        theta = params.resolved_theta(spec)
-        if len(theta) != spec.n_stocks:
-            raise StructuralError("theta dimensioned for a different market")
-        S = 100 * params.V.denominator
-        for t in theta:
-            S = math.lcm(S, t.denominator)
-        self.scale = S
-        self.k = (S // (100 * params.V.denominator)) * params.V.numerator
-        self.thetaS = tuple(int(t * S) for t in theta)
-        self.theta = theta
+        self.terms = scaled_terms(spec, params)
         self.mu_max = tuple(s.mu_max for s in spec.stocks)
-        self.sell_cost = tuple(tuple(s.sell_cost(m) for m in range(s.mu_max + 1))
-                               for s in spec.stocks)
-        self.buy_cost = tuple(tuple(s.buy_cost(a) for a in range(s.mu_max + 1))
-                              for s in spec.stocks)
         self.budget = spec.budget
         # No price moves the budget's limit; greedy decides every slot.
         self.slack_limit = None if params.buy_solver == "greedy" \
@@ -201,9 +236,9 @@ class SlotSolver:
         costs more and holds more shares for no gain, so no lexicographic
         optimum uses it; the last option is a (lowest on ties)."""
         q, p = key
-        k = self.k
-        w = self.scale * q - self.thetaS[n] + k * p
-        table = self.buy_cost[n]
+        terms, k = self.terms, self.terms.k
+        w = terms.scale * q - terms.thetaS[n] + k * p
+        table = terms.buy_cost[n]
         options = [(0, 0)]
         best = 0
         for a in range(1, self.mu_max[n] + 1):
@@ -216,13 +251,14 @@ class SlotSolver:
         (size,), _ = self.budget.purchase_rule((p,))
         entry = self.tables[n][key] = (
             mu, w, tuple(options), a, size * a, max(q - mu + a, 0),
-            (mu - a) * p - self.sell_cost[n][mu] - table[a])
+            (mu - a) * p - terms.sell_cost[n][mu] - table[a])
         return entry
 
     def _sell_qty(self, n, w, p, hi) -> int:
         """The m <= hi minimising k*cost(m) - w*m among the quantities whose
         proceeds cover the fee, lowest m on ties."""
-        stock, table, k = self.spec.stocks[n], self.sell_cost[n], self.k
+        stock, k = self.spec.stocks[n], self.terms.k
+        table = self.terms.sell_cost[n]
         best_mu, best = 0, 0
         for m in range(1, hi + 1):
             if stock.proceeds(m, p) < 0:
@@ -296,7 +332,7 @@ class SlotSolver:
         """
         x = self.budget.money if self.budget.mode == "money" else None
         coeffs = [e[1] for e in entries]
-        k = self.k
+        k, costs = self.terms.k, self.terms.buy_cost
         A = [0] * len(coeffs)
         spent = 0
         while True:
@@ -307,7 +343,7 @@ class SlotSolver:
                 cap = self.mu_max[n] - A[n]
                 if cap <= 0:
                     continue
-                table = self.buy_cost[n]
+                table = costs[n]
                 base = table[A[n]]
                 num = None
                 size = 0
@@ -326,7 +362,7 @@ class SlotSolver:
                     best_n, best_j, best_num, best_den = n, size, num, den
             if best_n < 0:
                 return tuple(A)
-            table = self.buy_cost[best_n]
+            table = costs[best_n]
             start = A[best_n]
             for _ in range(best_j):
                 A[best_n] += 1
@@ -356,24 +392,7 @@ class SlotSolver:
         buys = self._pick(self, entries, prices)
         nq = tuple([v - m + a if v - m + a > 0 else 0
                     for v, m, a in zip(queue, sells, buys)])
-        return sells, buys, self.profit(prices, sells, buys), nq
-
-    # -- objective bookkeeping (used by solvers' tests and verifiers) ------
-
-    def scaled_objective(self, prices, queue, sells, buys) -> int:
-        """S * (-V*profit - sum_n (Q_n - theta_n)(mu_n - A_n)), an integer."""
-        S = self.scale
-        return -self.k * self.profit(prices, sells, buys) - sum(
-            (S * q - t) * (m - a)
-            for q, t, m, a in zip(queue, self.thetaS, sells, buys))
-
-    def profit(self, prices, sells, buys) -> int:
-        """market.slot_profit read from the cost tables, for the hot path."""
-        total = 0
-        for n, p in enumerate(prices):
-            total += sells[n] * p - self.sell_cost[n][sells[n]]
-            total -= buys[n] * p + self.buy_cost[n][buys[n]]
-        return total
+        return sells, buys, self.terms.profit(prices, sells, buys), nq
 
 
 def _csv_header(n: int) -> list:

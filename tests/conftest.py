@@ -50,8 +50,9 @@ def random_small_spec(rng: random.Random, max_stocks=3, max_mu=3,
 
 def buy_coeffs(solver, prices, queue) -> list:
     """The solver's buy coefficients S*q_n - S*theta_n + k*p_n, formed
-    here rather than read from its per-stock tables."""
-    return [solver.scale * q - solver.thetaS[n] + solver.k * p
+    from its `terms` here rather than read from its per-stock tables."""
+    terms = solver.terms
+    return [terms.scale * q - terms.thetaS[n] + terms.k * p
             for n, (p, q) in enumerate(zip(prices, queue))]
 
 

@@ -5,9 +5,12 @@ reference that `lyaptrade.analysis.verify_tslot_lemma`, written in scaled
 integers, is compared with bit for bit.  The others check the paper's
 one-slot drift expansion and its shifted-queue step, read a place-holder
 book's actual holdings and the start-up purchase it avoids, and read a
-price-only policy's table.
+price-only policy's table.  `reference_scaled_terms` is the scaled frame
+as `SlotSolver.__init__` built it for itself, the reference for
+`lyaptrade.trader.scaled_terms`.
 """
 
+import math
 from fractions import Fraction
 
 from lyaptrade.analysis import (FAIL, PASS, BoundReport, _check_alternative,
@@ -58,6 +61,24 @@ def reference_tslot_lemma(traj, alt_sequence, t0: int,
     verdict = PASS if slack >= 0 else FAIL
     return BoundReport(verdict, float(slack), (t0, T),
                        {"check": "frame_drift_bound"})
+
+
+def reference_scaled_terms(spec, params) -> tuple:
+    """(S, k, S*theta, sell cost tables, buy cost tables), built as the
+    solver built them."""
+    theta = params.resolved_theta(spec)
+    if len(theta) != spec.n_stocks:
+        raise StructuralError("theta dimensioned for a different market")
+    S = 100 * params.V.denominator
+    for t in theta:
+        S = math.lcm(S, t.denominator)
+    k = (S // (100 * params.V.denominator)) * params.V.numerator
+    thetaS = tuple(int(t * S) for t in theta)
+    sell_cost = tuple(tuple(s.sell_cost(m) for m in range(s.mu_max + 1))
+                      for s in spec.stocks)
+    buy_cost = tuple(tuple(s.buy_cost(a) for a in range(s.mu_max + 1))
+                     for s in spec.stocks)
+    return S, k, thetaS, sell_cost, buy_cost
 
 
 def check_one_slot_drift(traj, t: int) -> bool:

@@ -16,7 +16,7 @@ from lyaptrade.analysis import (VACUOUS, measure_memory_epsilon,
                                 verify_thm3, verify_tslot_lemma)
 from lyaptrade.oracles import brute_force_slot_min
 from lyaptrade.prices import stationary_distribution
-from lyaptrade.trader import SlotSolver
+from lyaptrade.trader import SlotSolver, scaled_terms
 
 from conftest import (adversarial_trace, buy_coeffs, one_stock_spec,
                       random_dist, random_small_spec,
@@ -94,7 +94,7 @@ def test_ac3_per_slot_optimality():
         params = TraderParams(V=rng.choice((1, 5, 50)))
         traj = run_backtest(spec, params, random_dist(rng, spec, 3),
                             horizon, seed=rng.randrange(2 ** 32))
-        solver = SlotSolver(spec, params)
+        terms = scaled_terms(spec, params)
         # the objective depends on (prices, queue) only, so checking each
         # distinct pair covers every slot exactly
         seen = set()
@@ -107,8 +107,8 @@ def test_ac3_per_slot_optimality():
             aset = enumerate_actions(spec, traj.prices[t], traj.queue_at(t))
             alternatives.extend((t, d) for d in aset.actions)
             oracle = brute_force_slot_min(params, spec, *key)
-            ours = solver.scaled_objective(*key, traj.sells[t], traj.buys[t])
-            best = solver.scaled_objective(*key, oracle.sells, oracle.buys)
+            ours = terms.scaled_objective(*key, traj.sells[t], traj.buys[t])
+            best = terms.scaled_objective(*key, oracle.sells, oracle.buys)
             assert ours == best
         assert verify_slot_optimality(traj, alternatives).ok
     report("AC-3 per-slot minimality, 50 instances x 1e3 slots", True)
@@ -175,8 +175,8 @@ def test_ac6_greedy_dominance_and_overshoot():
 
         def obj(buys):
             return sum(w * a for w, a in zip(coeffs, buys)) \
-                + solver.k * sum(s.buy_cost(a)
-                                 for s, a in zip(spec.stocks, buys))
+                + solver.terms.k * sum(s.buy_cost(a)
+                                       for s, a in zip(spec.stocks, buys))
 
         assert obj(a_greedy) <= obj(a_exact)
         if spec.budget.mode == "money":

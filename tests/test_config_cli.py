@@ -304,6 +304,26 @@ class TestRun:
         err = capsys.readouterr().err
         assert "/trader/buy_solver" in err and "Traceback" not in err, err
 
+    def test_verify_scores_a_greedy_share_budget_book(self, tmp_path,
+                                                      capsys):
+        # `run` rejects this trader (above), but `verify` builds no
+        # solver: slot_optimality scores the book, here one the exact
+        # solver made under the same share budget, and passes it.
+        market = dict(BASE["market"], budget={"mode": "shares", "value": 1})
+        doc = dict(BASE, market=market, write_trajectories=True)
+        out = tmp_path / "out"
+        assert main(["run", "--config", write_config(tmp_path, doc),
+                     "--out", str(out)]) == 0
+        doc = dict(doc, trader={"V": "50", "buy_solver": "greedy"},
+                   verify=["dynamics", "slot_optimality"])
+        capsys.readouterr()
+        assert main(["verify", "--config",
+                     write_config(tmp_path, doc, "verify.json"),
+                     "--trajectory", str(out / "trajectory_0.csv")]) == 0
+        reports = json.loads(capsys.readouterr().out)["reports"]
+        assert {k: r["verdict"] for k, r in reports.items()} \
+            == {"dynamics": "pass", "slot_optimality": "pass"}
+
     def test_share_budget_solver_points_to_exact(self, tmp_path, capsys):
         doc = dict(BASE, trader={"V": "50", "buy_solver": "share_budget"},
                    market=dict(BASE["market"],
@@ -586,6 +606,36 @@ class TestOracleSubcommand:
         out = json.loads(capsys.readouterr().out)
         # second frame shorts at 2.00 and covers at 1.00
         assert out["oracle"]["psi"] == ["1.00", "1.00"]
+
+    @pytest.mark.parametrize("rows, pools", [(1, []), (2, []), (4, [2])])
+    def test_lookahead_pool_never_outnumbers_frames(self, tmp_path, capsys,
+                                                    monkeypatch, rows, pools):
+        # --jobs 3 forks one worker per frame at most, and none for zero
+        # or one frame; psi is that of --jobs 1.
+        import concurrent.futures
+        opened = []
+
+        class Counted(concurrent.futures.ProcessPoolExecutor):
+            def __init__(self, max_workers=None, *args, **kwargs):
+                opened.append(max_workers)
+                super().__init__(max_workers, *args, **kwargs)
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor",
+                            Counted)
+        trace = tmp_path / "trace.csv"
+        trace.write_text("slot,p_1\n" + "".join(
+            f"{t},{1 + t % 2}.00\n" for t in range(rows)))
+        doc = dict(BASE, horizon=rows,
+                   source={"kind": "trace", "path": str(trace)},
+                   oracle={"mode": "lookahead", "window": 2})
+        cfg = write_config(tmp_path, doc)
+        psi = []
+        for jobs in ("1", "3"):
+            assert main(["oracle", "--config", cfg, "--jobs", jobs]) == 0
+            psi.append(json.loads(capsys.readouterr().out)["oracle"])
+        assert opened == pools
+        assert psi[0] == psi[1]
+        assert len(psi[0]["psi"]) == rows // 2
 
     def test_constant_trace_zero_psi(self, tmp_path, capsys):
         trace = tmp_path / "trace.csv"

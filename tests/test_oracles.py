@@ -13,7 +13,7 @@ from lyaptrade import (BudgetMode, CostFunction, MarketSpec, PriceDistribution,
 from lyaptrade import oracles
 from lyaptrade.errors import CapacityError
 from lyaptrade.market import slot_profit
-from lyaptrade.trader import SlotSolver
+from lyaptrade.trader import SlotSolver, capacity_cells, scaled_terms
 
 from conftest import (one_stock_spec, random_dist,
                       random_small_spec, random_trace, uniform_two_price)
@@ -256,6 +256,29 @@ class TestLookahead:
             assert full >= halves
 
 
+def test_each_oracle_reads_the_enumeration_cap_once(monkeypatch):
+    # The cap is read once per call and handed to every enumeration, not
+    # read again for each slot of a frame or each stock group.
+    reads = []
+
+    def counted(default):
+        reads.append(default)
+        return capacity_cells(default)
+
+    monkeypatch.setattr(oracles, "capacity_cells", counted)
+    spec = MarketSpec((StockSpec(0, 1, 200), StockSpec(1, 1, 200)))
+    params = TraderParams(V=5)
+    for call, extra in (
+            (lambda: lookahead_psi(spec, [(100, 150)] * 4),
+             [oracles.DEFAULT_SEARCH_CAP]),
+            (lambda: enumerate_actions(spec, (100, 150)), []),
+            (lambda: brute_force_slot_min(params, spec, (100, 150), (1, 1)),
+             [])):
+        reads.clear()
+        call()
+        assert reads == extra + [oracles.DEFAULT_ENUM_CAP]
+
+
 class TestBruteForce:
     def test_matches_composed_solvers(self, rng):
         for _ in range(150):
@@ -266,18 +289,18 @@ class TestBruteForce:
             solver = SlotSolver(spec, params)
             sells, buys, _, _ = solver.step(prices, queue)
             oracle = brute_force_slot_min(params, spec, prices, queue)
-            assert solver.scaled_objective(prices, queue, sells, buys) \
-                == solver.scaled_objective(prices, queue, oracle.sells,
-                                           oracle.buys)
+            score = solver.terms.scaled_objective
+            assert score(prices, queue, sells, buys) \
+                == score(prices, queue, oracle.sells, oracle.buys)
             assert (buys, sells) == (oracle.buys, oracle.sells)
 
     @staticmethod
     def _enumeration_reference(params, spec, prices, queue):
         """Score every validated TradeDecision of the enumerated set."""
-        solver = SlotSolver(spec, params)
+        terms = scaled_terms(spec, params)
         best_key = best = None
         for d in enumerate_actions(spec, prices, queue=queue).actions:
-            key = (solver.scaled_objective(prices, queue, d.sells, d.buys),
+            key = (terms.scaled_objective(prices, queue, d.sells, d.buys),
                    sum(d.sells) + sum(d.buys), d.sells + d.buys)
             if best_key is None or key < best_key:
                 best_key, best = key, d

@@ -10,7 +10,7 @@ from lyaptrade import (BudgetMode, CostFunction, MarketSpec, PriceTrace,
                        run_backtest, slot_profit, to_cents)
 from lyaptrade.analysis import verify_queue_band
 from lyaptrade.oracles import brute_force_slot_min, enumerate_actions
-from lyaptrade.trader import SlotSolver
+from lyaptrade.trader import SlotSolver, scaled_terms
 
 from conftest import buy_coeffs
 from reference_helpers import check_one_slot_drift
@@ -75,14 +75,12 @@ def test_trader_matches_brute_force(pair, V):
     spec, trace = pair
     params = TraderParams(V=V)
     traj = run_backtest(spec, params, trace, len(trace))
-    solver = SlotSolver(spec, params)
+    score = scaled_terms(spec, params).scaled_objective
     for t in range(traj.n_slots):
         q = traj.queue_at(t)
         oracle = brute_force_slot_min(params, spec, traj.prices[t], q)
-        assert solver.scaled_objective(traj.prices[t], q, traj.sells[t],
-                                       traj.buys[t]) \
-            == solver.scaled_objective(traj.prices[t], q, oracle.sells,
-                                       oracle.buys)
+        assert score(traj.prices[t], q, traj.sells[t], traj.buys[t]) \
+            == score(traj.prices[t], q, oracle.sells, oracle.buys)
 
 
 @settings(max_examples=40, deadline=None)
@@ -112,8 +110,8 @@ def test_greedy_never_worse_than_exact_and_overshoot_bounded(spec, data):
     def buy_objective(buys):
         coeff = buy_coeffs(exact, prices, queue)
         return sum(w * a for w, a in zip(coeff, buys)) \
-            + exact.k * sum(s.buy_cost(a)
-                            for s, a in zip(spec.stocks, buys))
+            + exact.terms.k * sum(s.buy_cost(a)
+                                  for s, a in zip(spec.stocks, buys))
 
     assert buy_objective(a_greedy) <= buy_objective(a_exact)
     if spec.budget.mode == "money":

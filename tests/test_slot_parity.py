@@ -12,17 +12,32 @@ import random
 from dataclasses import replace
 from fractions import Fraction
 
+import pytest
+
 from lyaptrade import (BudgetMode, CostFunction, MarketSpec, PriceDistribution,
-                       StockSpec, TraderParams, run_backtest)
+                       StockSpec, TraderParams, compute_constants, run_backtest,
+                       slot_profit)
+from lyaptrade.analysis import _lemma_terms
 from lyaptrade.errors import CapacityError, StructuralError
 from lyaptrade.market import TradeDecision
 from lyaptrade.oracles import brute_force_slot_min, enumerate_actions
-from lyaptrade.trader import SlotSolver, queue_band
+from lyaptrade.trader import SlotSolver, queue_band, scaled_terms
+
+from reference_helpers import reference_scaled_terms
 
 
 class ReferenceSolver(SlotSolver):
     """SlotSolver with the per-call sell, buy and step it had before the
     per-stock tables, copied verbatim."""
+
+    def __init__(self, spec, params):
+        super().__init__(spec, params)
+        # The bodies below read the scaled frame off the solver itself,
+        # where it lived before it moved to `terms`.
+        t = self.terms
+        self.scale, self.k, self.thetaS = t.scale, t.k, t.thetaS
+        self.sell_cost, self.buy_cost = t.sell_cost, t.buy_cost
+        self.profit = t.profit
 
     def sell(self, prices, queue, enforce_ownership: bool = True) -> tuple:
         S, k = self.scale, self.k
@@ -191,7 +206,7 @@ class ReferenceSolver(SlotSolver):
 def reference_brute_force(params, spec, prices, queue) -> TradeDecision:
     """Every feasible joint pair scored with the full slot objective."""
     prices = spec.check_prices(prices)
-    score = SlotSolver(spec, params).scaled_objective
+    score = scaled_terms(spec, params).scaled_objective
     _, _, both = min((score(prices, queue, d.sells, d.buys),
                       sum(d.sells) + sum(d.buys), d.sells + d.buys)
                      for d in enumerate_actions(spec, prices, queue).actions)
@@ -251,6 +266,66 @@ def _params(rng, spec, solver, V_choices) -> TraderParams:
                       for s in spec.stocks)
     return TraderParams(V=rng.choice(V_choices), theta=theta,
                         buy_solver=solver)
+
+
+def test_scaled_terms_match_reference():
+    # The frame shared by the solver, the slot oracle and the frame lemma
+    # is the one the solver built for itself; its profit is
+    # market.slot_profit and its objective is S times the slot objective.
+    rng = random.Random(2209)
+    seen = set()
+    for trial in range(400):
+        budget = ("none", "money", "shares")[trial % 3]
+        kinds = [(rng.choice(COST_KINDS), rng.choice(COST_KINDS))
+                 for _ in range(3)]
+        spec = _market(rng, "exact", budget, kinds)
+        theta = None
+        if trial % 2:
+            theta = tuple(Fraction(rng.randrange(0, 900), rng.randint(1, 9))
+                          for _ in spec.stocks)
+        V = rng.choice((1, 5, 50, Fraction(35, 3), Fraction(7, 4)))
+        params = TraderParams(V=V, theta=theta)
+        terms = scaled_terms(spec, params)
+        S, k, thetaS, sell_cost, buy_cost = reference_scaled_terms(spec,
+                                                                   params)
+        assert (terms.scale, terms.k, terms.thetaS, terms.sell_cost,
+                terms.buy_cost) == (S, k, thetaS, sell_cost, buy_cost)
+        assert scaled_terms(spec, params) is terms
+        assert SlotSolver(spec, params).terms is terms
+        T = rng.randint(1, 6)
+        assert _lemma_terms(spec, params, T) \
+            == (terms, int(2 * S * S * compute_constants(spec, T).D * T * T))
+        resolved = params.resolved_theta(spec)
+        for _ in range(5):
+            prices = tuple(rng.randrange(0, s.p_max + 1) for s in spec.stocks)
+            queue = tuple(rng.randrange(0, 3 * s.mu_max + 4)
+                          for s in spec.stocks)
+            d = TradeDecision(*(tuple(rng.randint(0, s.mu_max)
+                                      for s in spec.stocks)
+                                for _ in range(2)))
+            profit = slot_profit(spec, prices, d)
+            assert terms.profit(prices, d.sells, d.buys) == profit
+            objective = -params.V * Fraction(profit, 100) - sum(
+                (q - t) * (m - a)
+                for q, t, m, a in zip(queue, resolved, d.sells, d.buys))
+            assert terms.scaled_objective(prices, queue, d.sells, d.buys) \
+                == objective * S
+        seen.update({budget, ("V", V)}, (c.kind for s in spec.stocks
+                                          for c in (s.buy_cost, s.sell_cost)),
+                    (("den", t.denominator) for t in theta or ()))
+    assert seen >= {"none", "money", "shares", *COST_KINDS,
+                    *(("V", V) for V in (1, 5, 50, Fraction(35, 3),
+                                         Fraction(7, 4))),
+                    *(("den", d) for d in range(1, 10))}, seen
+
+
+def test_scaled_terms_reject_a_theta_of_another_market():
+    spec = MarketSpec((StockSpec(0, 1, 100), StockSpec(1, 2, 100)))
+    params = TraderParams(V=5, theta=(1,))
+    for build in (scaled_terms, reference_scaled_terms, SlotSolver):
+        with pytest.raises(StructuralError,
+                           match="theta dimensioned for a different market"):
+            build(spec, params)
 
 
 # (buy solver, budget) pairs each solver accepts.
@@ -346,7 +421,7 @@ def test_brute_force_matches_reference_scorer():
             queue = (int(theta[0]),) + queue[1:]
         got = brute_force_slot_min(params, spec, prices, queue)
         assert got == reference_brute_force(params, spec, prices, queue)
-        score = SlotSolver(spec, params).scaled_objective
+        score = scaled_terms(spec, params).scaled_objective
         best = score(prices, queue, got.sells, got.buys)
         ties += sum(score(prices, queue, d.sells, d.buys) == best
                     for d in enumerate_actions(spec, prices, queue).actions) > 1

@@ -105,13 +105,13 @@ class TestBuyExact:
             coeff = buy_coeffs(solver, prices, queue)
             best = min(
                 (sum(w * a for w, a in zip(coeff, d.buys))
-                 + solver.k * sum(s.buy_cost(a) for s, a
-                                  in zip(spec.stocks, d.buys)),
+                 + solver.terms.k * sum(s.buy_cost(a) for s, a
+                                        in zip(spec.stocks, d.buys)),
                  sum(d.buys), d.buys)
                 for d in enumerate_actions(spec, prices).actions)
             ours = (sum(w * a for w, a in zip(coeff, got))
-                    + solver.k * sum(s.buy_cost(a) for s, a
-                                     in zip(spec.stocks, got)),
+                    + solver.terms.k * sum(s.buy_cost(a) for s, a
+                                           in zip(spec.stocks, got)),
                     sum(got), got)
             assert ours == best
 
@@ -144,6 +144,7 @@ def _reference_dp(solver, coeffs, sizes, limit) -> tuple:
     """Unpruned budget DP over every quantity of every stock, no early
     return: lexicographic minimum of (objective, shares, buy vector)
     subject to sum_n sizes[n] * a_n <= limit."""
+    k, buy_cost = solver.terms.k, solver.terms.buy_cost
     dp = {0: (0, 0, ())}
     for n, w in enumerate(coeffs):
         new = {}
@@ -152,7 +153,7 @@ def _reference_dp(solver, coeffs, sizes, limit) -> tuple:
                 u = used + a * sizes[n]
                 if u > limit:
                     continue
-                cand = (obj + w * a + solver.k * solver.buy_cost[n][a],
+                cand = (obj + w * a + k * buy_cost[n][a],
                         shares + a, vec + (a,))
                 if u not in new or cand < new[u]:
                     new[u] = cand
@@ -162,9 +163,9 @@ def _reference_dp(solver, coeffs, sizes, limit) -> tuple:
 
 def _unconstrained_min(solver, coeffs) -> tuple:
     """Per-stock minimiser of w*a + k*cost(a), lowest a on ties."""
+    k, buy_cost = solver.terms.k, solver.terms.buy_cost
     return tuple(min(range(solver.mu_max[n] + 1),
-                     key=lambda a: (w * a + solver.k * solver.buy_cost[n][a],
-                                    a))
+                     key=lambda a: (w * a + k * buy_cost[n][a], a))
                  for n, w in enumerate(coeffs))
 
 
@@ -307,8 +308,8 @@ class TestBuyShareBudget:
             coeff = buy_coeffs(solver, prices, queue)
             best = min(
                 (sum(w * a for w, a in zip(coeff, d.buys))
-                 + solver.k * sum(s.buy_cost(a) for s, a
-                                  in zip(spec.stocks, d.buys)),
+                 + solver.terms.k * sum(s.buy_cost(a) for s, a
+                                        in zip(spec.stocks, d.buys)),
                  sum(d.buys), d.buys)
                 for d in enumerate_actions(spec, prices).actions)
             assert best[2] == got

@@ -31,9 +31,11 @@ from lyaptrade.analysis import (FAIL, PASS, BoundReport, _int_gt_threshold,
 from lyaptrade.errors import LyaptradeError, StructuralError
 from lyaptrade.market import TradeDecision
 from lyaptrade.money import cents_to_units
-from lyaptrade.oracles import _feasible, brute_force_slot_min
+from lyaptrade.oracles import (DEFAULT_ENUM_CAP, _feasible,
+                               brute_force_slot_min)
 from lyaptrade.prices import PriceTrace
-from lyaptrade.trader import SlotSolver, queue_band
+from lyaptrade.trader import (SlotSolver, capacity_cells, queue_band,
+                              scaled_terms)
 
 from conftest import random_cost, random_dist, random_small_spec, random_trace
 from reference_helpers import reference_tslot_lemma
@@ -133,8 +135,9 @@ def reference_brute_force_slot_min(params, spec, prices, queue):
     sells with no buys plus that of its buys with no sells: each side is
     scored once and every pair is compared by the sum."""
     prices = spec.check_prices(prices)
-    score = SlotSolver(spec, params).scaled_objective
-    buy_set, sell_set = _feasible(spec, prices, queue)
+    score = scaled_terms(spec, params).scaled_objective
+    buy_set, sell_set = _feasible(spec, prices, queue,
+                                  capacity_cells(DEFAULT_ENUM_CAP))
     zero = (0,) * spec.n_stocks
     sell_scores = [(score(prices, queue, sells, zero), sum(sells), sells)
                    for sells in sell_set]
@@ -326,7 +329,7 @@ def test_brute_force_breaks_budget_ties_by_shares():
                        StockSpec(1, 2, 200, CostFunction("fixed", fee=127))),
                       BudgetMode("money", money=181))
     args = (TraderParams(V=10), spec, (73, 43), (8, 13))
-    score = SlotSolver(spec, TraderParams(V=10)).scaled_objective
+    score = scaled_terms(spec, TraderParams(V=10)).scaled_objective
     assert score(*args[2:], (0, 0), (2, 0)) == score(*args[2:], (0, 0), (1, 2))
     got = brute_force_slot_min(*args)
     assert got.buys == (2, 0)
@@ -532,6 +535,35 @@ def test_thm3_checks_every_frame_and_keeps_a_passing_report():
             failed += 1
             assert forged, trial
     assert failed >= 10, failed
+
+
+def test_verifiers_build_no_solver(monkeypatch):
+    # slot_optimality, its brute-force oracle and thm3's frame lemma score
+    # through scaled_terms alone: with SlotSolver unbuildable, every report
+    # is the one they gave with it.
+    rng = random.Random(22)
+    cases = []
+    for trial in range(60):
+        traj = _lemma_book(rng)
+        if trial % 2:
+            _forge_in_caps(rng, traj)
+        cfg = SimpleNamespace(verify=("slot_optimality", "thm3"),
+                              window=rng.randint(1, 4), seed=trial,
+                              options={"optimality_slots": 8})
+        cases.append((cfg, traj, cli._deterministic_checks(
+            cfg, traj.spec, traj.params, traj, 0)))
+
+    def refuse(self, *args, **kwargs):
+        raise AssertionError("a verifier built a SlotSolver")
+
+    monkeypatch.setattr(SlotSolver, "__init__", refuse)
+    verdicts = set()
+    for cfg, traj, expected in cases:
+        got = cli._deterministic_checks(cfg, traj.spec, traj.params, traj, 0)
+        assert got == expected
+        verdicts.update((name, r.verdict) for name, r in got.items())
+    assert verdicts == {(name, v) for name in cfg.verify
+                        for v in (PASS, FAIL)}, verdicts
 
 
 # -- forged books through `lyaptrade verify` ---------------------------------
