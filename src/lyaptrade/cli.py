@@ -194,6 +194,10 @@ def cmd_run(cfg: ExperimentConfig, out_dir, jobs: int) -> int:
         raise ConfigError("a trace replays the same prices from the same "
                           "queue in every replication; set 1",
                           location="/replications")
+    if cfg.write_trajectories and not out_dir:
+        raise ConfigError("trajectories are written to the --out "
+                          "directory; pass --out or set false",
+                          location="/write_trajectories")
     source, spec, params = _resolved(cfg)
     _check_statistical_config(cfg)
     records = bool(cfg.verify and set(cfg.verify) & set(DETERMINISTIC_CHECKS)) \
@@ -219,7 +223,7 @@ def cmd_run(cfg: ExperimentConfig, out_dir, jobs: int) -> int:
             totals.append(traj.cumulative_profit())
             det_reports.append(_deterministic_checks(cfg, spec, params,
                                                      traj, r))
-            if cfg.write_trajectories and out_dir:
+            if cfg.write_trajectories:
                 os.makedirs(out_dir, exist_ok=True)
                 with open(os.path.join(out_dir, f"trajectory_{r}.csv"),
                           "w") as fh:

@@ -21,7 +21,8 @@ import math
 import os
 from dataclasses import dataclass, field
 from fractions import Fraction
-from operator import add, itemgetter, sub
+from itertools import repeat
+from operator import add, floordiv, itemgetter, sub
 
 from .errors import CapacityError, ConfigError, StructuralError
 from .market import MarketSpec
@@ -183,11 +184,15 @@ class SlotSolver:
     combine.  Decisions depend only on (queue, prices), so for as long
     as the solver lives, across every run given it, `memo` maps each
     price support of k vectors of an iid or Markov run to its walk table
-    of flat lists (nodes, queues, steps, succ): `nodes` numbers each
+    (nodes, queues, recs, gains, succ, records): `nodes` numbers each
     queue vector, `queues[node]`, on its first visit and maps it to its
     row offset node * k.  Cell i = node * k + code, the pair
-    (queues[node], support[code]), holds its step in `steps[i]` and its
-    next queue's row offset in `succ[i]`, -1 until it is solved.
+    (queues[node], support[code]), points in `recs[i]` to its shared
+    (sells, buys, profit) record, interned in the `records` dict, holds
+    that profit in `gains[i]` and its next queue's row offset in
+    `succ[i]`, -1 until it is solved; its next queue is the node key
+    `queues[succ[i] // k]`.  A cell keeps no tuple of its own, and the
+    rows of a book alias these records and keys.
     """
 
     def __init__(self, spec: MarketSpec, params: TraderParams):
@@ -522,26 +527,33 @@ def _walk_start(spec, params, solver, source, horizon, seed, stream):
         hit = (None, None, None, q)   # each slot starts from the last's queue
         hits = [hit := solver.step(p, hit[3]) for p in seq]
         return solver, None, hits, None, None
-    table = solver.memo.setdefault(support, ({}, [], [], []))
+    table = solver.memo.setdefault(support, ({}, [], [], [], [], {}))
     return solver, support, seq, table, _row(table, len(support), q)
 
 
 def _row(table, k, queue) -> int:
     """Row offset of queue in a walk table; k new cells on a first visit."""
-    nodes, queues, steps, succ = table
+    nodes, queues, recs, gains, succ, _ = table
     if queue not in nodes:
         nodes[queue] = len(succ)
         queues.append(queue)
-        steps += [None] * k
+        recs += [None] * k
+        gains += [0] * k
         succ += [-1] * k
     return nodes[queue]
 
 
 def _solve_cell(solver, support, table, i) -> int:
-    """Solve cell i of a walk table; return its successor's row offset."""
+    """Solve cell i of a walk table: point it at its interned (sells,
+    buys, profit) record and link its successor, whose row offset it
+    returns."""
+    _, queues, recs, gains, succ, records = table
     k = len(support)
-    hit = table[2][i] = solver.step(support[i % k], table[1][i // k])
-    table[3][i] = base = _row(table, k, hit[3])
+    sells, buys, profit, nq = solver.step(support[i % k], queues[i // k])
+    rec = (sells, buys, profit)
+    recs[i] = rec = records.setdefault(rec, rec)
+    gains[i] = rec[2]
+    succ[i] = base = _row(table, k, nq)
     return base
 
 
@@ -549,24 +561,31 @@ def run_backtest(spec: MarketSpec, params: TraderParams, source,
                  horizon: int, seed: int = 0, stream: int = 0, *,
                  solver: SlotSolver | None = None) -> Trajectory:
     """Full per-slot trajectory; deterministic given (seed, stream).
-    A solver built for (spec, params) may be passed to share its memo."""
+    A solver built for (spec, params) may be passed to share its memo.
+    On an iid or Markov source each row of the book is a walk table's
+    shared record or node key, not a copy."""
     traj = Trajectory(spec, params, params.resolved_initial_queue(spec))
     solver, support, seq, table, base = _walk_start(
         spec, params, solver, source, horizon, seed, stream)
     if support is None:
-        traj.prices, hits = list(source.sequence[:horizon]), seq
-    else:
-        traj.prices = list(map(support.__getitem__, seq))
-        steps, succ = table[2:]
-        hits = []
-        for code in seq:
-            i = base + code
-            base = succ[i]
-            if base < 0:
-                base = _solve_cell(solver, support, table, i)
-            hits.append(steps[i])
-    traj.sells, traj.buys, traj.profits, traj.queues = (
-        list(map(itemgetter(j), hits)) for j in range(4))
+        traj.prices = list(source.sequence[:horizon])
+        traj.sells, traj.buys, traj.profits, traj.queues = (
+            list(map(itemgetter(j), seq)) for j in range(4))
+        return traj
+    traj.prices = list(map(support.__getitem__, seq))
+    _, queues, recs, gains, succ, _ = table
+    cells = []
+    for code in seq:
+        i = base + code
+        base = succ[i]
+        if base < 0:
+            base = _solve_cell(solver, support, table, i)
+        cells.append(i)
+    rows = list(map(recs.__getitem__, cells))
+    traj.sells, traj.buys = (list(map(itemgetter(j), rows)) for j in (0, 1))
+    traj.profits = list(map(gains.__getitem__, cells))
+    traj.queues = list(map(queues.__getitem__, map(
+        floordiv, map(succ.__getitem__, cells), repeat(len(support)))))
     return traj
 
 
@@ -578,14 +597,14 @@ def run_profit(spec: MarketSpec, params: TraderParams, source,
         spec, params, solver, source, horizon, seed, stream)
     if support is None:
         return sum(map(itemgetter(2), seq)), seq[-1][3]
-    queues, steps, succ = table[1:]
+    _, queues, _, gains, succ, _ = table
     total = 0
     for code in seq:
         i = base + code
         base = succ[i]
         if base < 0:
             base = _solve_cell(solver, support, table, i)
-        total += steps[i][2]
+        total += gains[i]
     return total, queues[base // len(support)]
 
 

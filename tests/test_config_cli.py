@@ -285,6 +285,18 @@ class TestRun:
         assert main(["run", "--config", write_config(tmp_path, doc)]) == 5
         assert capsys.readouterr().err == f"config: {location}: {message}\n"
 
+    def test_trajectories_without_out_checked_before_any_run(
+            self, tmp_path, capsys, monkeypatch):
+        def no_run(*args, **kwargs):
+            raise AssertionError("a replication ran")
+        monkeypatch.setattr(cli, "run_profit", no_run)
+        monkeypatch.setattr(cli, "run_backtest", no_run)
+        doc = dict(BASE, write_trajectories=True)
+        assert main(["run", "--config", write_config(tmp_path, doc)]) == 5
+        err = capsys.readouterr().err
+        assert err.startswith("config: /write_trajectories: ")
+        assert "--out" in err
+
     @pytest.mark.parametrize("command", ["run", "verify", "scaled", "oracle"])
     def test_bad_placeholder_holdings_exit_five(self, tmp_path, capsys,
                                                 command):

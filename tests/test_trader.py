@@ -4,6 +4,7 @@ windowed scaling."""
 import io
 import json
 import random
+import tracemalloc
 from dataclasses import replace
 from fractions import Fraction
 
@@ -439,7 +440,7 @@ class TestRuns:
                               stream=stream)
         # Later streams replay pairs the first ones solved.
         assert list(shared.memo) == [markov.states]
-        succ = shared.memo[markov.states][3]
+        _, _, _, _, succ, _ = shared.memo[markov.states]
         assert 0 < sum(s >= 0 for s in succ) < 600
 
     def test_walk_table_links_each_solved_cell_to_its_next_queue(self, rng):
@@ -461,19 +462,85 @@ class TestRuns:
                 run = (run_backtest, run_profit)[stream % 2]
                 run(spec, params, source, 300, seed=3, stream=stream,
                     solver=shared)
-                nodes, queues, steps, succ = shared.memo[support]
-                assert len(steps) == len(succ) == k * len(queues)
+                nodes, queues, recs, gains, succ, records = \
+                    shared.memo[support]
+                assert len(recs) == len(gains) == len(succ) \
+                    == k * len(queues)
                 assert nodes == {q: j * k for j, q in enumerate(queues)}
-                for i, (hit, nxt) in enumerate(zip(steps, succ)):
-                    if hit is None:
-                        assert nxt == -1
+                for i, (rec, gain, nxt) in enumerate(zip(recs, gains, succ)):
+                    if rec is None:
+                        assert nxt == -1 and gain == 0
                     else:
                         assert nxt % k == 0
-                        assert queues[nxt // k] == hit[3]
-                        assert hit == shared.step(support[i % k],
-                                                  queues[i // k])
+                        assert records[rec] is rec and gain is rec[2]
+                        assert (*rec, queues[nxt // k]) == shared.step(
+                            support[i % k], queues[i // k])
             # Later streams replay cells the first ones solved.
             assert 0 < sum(nxt >= 0 for nxt in succ) < 4 * 300
+
+    def test_book_rows_are_the_walk_tables_shared_records(self):
+        spec = MarketSpec((StockSpec(0, 2, 300, CostFunction("fixed", fee=7),
+                                     CostFunction("linear", rate=2)),
+                           StockSpec(1, 3, 200)),
+                          BudgetMode("money", money=350))
+        params = TraderParams(V=20)
+        iid = PriceDistribution(((100, 200), (300, 0), (50, 150), (250, 50)),
+                                (Fraction(1, 4),) * 4)
+        markov = MarkovPriceModel(((100, 200), (250, 50), (150, 150)),
+                                  ((0.5, 0.3, 0.2), (0.1, 0.6, 0.3),
+                                   (0.4, 0.4, 0.2)))
+        shared = SlotSolver(spec, params)
+        bound = 1
+        for s in spec.stocks:
+            bound *= (s.mu_max + 1) ** 2
+        for source, support in ((iid, iid.support), (markov, markov.states)):
+            k = len(support)
+            for stream in range(3):
+                traj = run_backtest(spec, params, source, 400, seed=8,
+                                    stream=stream, solver=shared)
+                run_profit(spec, params, source, 400, seed=8,
+                           stream=stream + 3, solver=shared)
+                nodes, queues, recs, gains, succ, records = \
+                    shared.memo[support]
+                for t, p in enumerate(traj.prices):
+                    i = nodes[traj.queue_at(t)] + support.index(p)
+                    rec = recs[i]
+                    assert records[rec] is rec
+                    assert traj.sells[t] is rec[0]
+                    assert traj.buys[t] is rec[1]
+                    assert traj.profits[t] is gains[i] is rec[2]
+                    assert traj.queues[t] is queues[succ[i] // k]
+                assert 0 < len(records) <= k * bound
+
+    def test_walk_table_holds_few_bytes_per_solved_cell(self):
+        # The iid_verify benchmark market: three stocks, so queue vectors
+        # rarely repeat and most slots solve a new cell.
+        fixed, linear = CostFunction("fixed", fee=5), \
+            CostFunction("linear", rate=2)
+        spec = MarketSpec((StockSpec(0, 2, 300, fixed, linear),
+                           StockSpec(1, 2, 250, linear, fixed),
+                           StockSpec(2, 2, 400, fixed, fixed)),
+                          BudgetMode("money", money=600))
+        params = TraderParams(V=50)
+        iid = PriceDistribution(
+            ((100, 250, 150), (300, 50, 200), (200, 100, 400),
+             (150, 200, 50), (250, 150, 300), (50, 75, 250)),
+            (Fraction(1, 6),) * 6)
+        run_profit(spec, params, iid, 10)   # imports and caches, untraced
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            solver = SlotSolver(spec, params)
+            for stream in range(2):
+                run_profit(spec, params, iid, 20_000, seed=1, stream=stream,
+                           solver=solver)
+            held = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        _, _, _, _, succ, _ = solver.memo[iid.support]
+        solved = sum(nxt >= 0 for nxt in succ)
+        assert solved > 20_000
+        assert held / solved < 250, (held, solved)
 
     def test_mismatched_solver_rejected(self):
         spec = one_stock_spec()

@@ -320,7 +320,7 @@ def test_runs_match_reference_memo():
                                   stream=stream) == expected
             # Both indices of the repeated price vector were solved.
             k = len(support)
-            succ = live.memo[vectors][3]
+            _, _, _, _, succ, _ = live.memo[vectors]
             seen["duplicate"] += max(succ[0::k]) >= 0 \
                 and max(succ[k - 1::k]) >= 0
             seen["sources"].add(type(source).__name__)
