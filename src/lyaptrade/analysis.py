@@ -8,7 +8,6 @@ function: same inputs, same report.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -197,14 +196,6 @@ def _phi_dollars(spec, prices, d: TradeDecision) -> Fraction:
     return cents_to_units(slot_profit(spec, prices, d))
 
 
-@functools.lru_cache(maxsize=8)
-def _lemma_terms(spec: MarketSpec, params: TraderParams, window: int):
-    """(scaled_terms(spec, params), the integer 2S²·D·T²) for the lemma."""
-    terms = scaled_terms(spec, params)
-    D = compute_constants(spec, window).D
-    return terms, int(2 * terms.scale ** 2 * D * window ** 2)
-
-
 def verify_tslot_lemma(traj: Trajectory, alt_sequence, t0: int,
                        window: int) -> BoundReport:
     """Windowed sample-path drift bound against any feasible alternative
@@ -222,13 +213,18 @@ def verify_tslot_lemma(traj: Trajectory, alt_sequence, t0: int,
         raise StructuralError("alternative sequence length differs from frame")
     if t0 < 0 or t0 + T > traj.n_slots:
         raise StructuralError("frame outside the trajectory")
+    if T < 1:
+        raise StructuralError("window must be a positive integer")
     slots = range(t0, t0 + T)
     breach = _cap_breach(traj, slots, "frame_drift_bound", (t0, T))
     if breach:
         return breach
     spec = traj.spec
-    terms, bound = _lemma_terms(spec, traj.params, T)
+    terms = scaled_terms(spec, traj.params)
     S, thetaS, profit = terms.scale, terms.thetaS, terms.profit
+    # 2S²·D·T², an integer: 2T²·D = (3T² + 2T + 1)·Σμ_n².
+    bound = S * S * (3 * T * T + 2 * T + 1) * sum(s.mu_max ** 2
+                                                  for s in spec.stocks)
     gain = 0  # our frame profit less the alternative's, in cents
     for p, m, a, alt in zip(traj.prices[t0:t0 + T], traj.sells[t0:t0 + T],
                             traj.buys[t0:t0 + T], alt_sequence):

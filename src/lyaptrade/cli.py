@@ -1,6 +1,11 @@
 """Command-line harness: backtests, oracles, verification pipelines, and
 scaled-wealth experiments from one JSON config.
 
+`run` and `verify` check a book along one path, `_deterministic_checks`,
+which reports a book that breaks the queue recursion as a dynamics
+failure alone.  `run`'s replication blocks and the lookahead oracle's
+frames are dealt over `--jobs` worker processes by `_pool_map`.
+
 Exit codes: 0 all checks pass, 2 deterministic check failed,
 3 statistical check failed, 4 capacity exceeded, 5 config or usage error.
 """
@@ -73,28 +78,31 @@ def _run_block(spec, params, source, horizon, seed, records, reps):
                     solver=solver)) for r in reps]
 
 
-def _dynamics_report(traj: Trajectory, rep: int, columns=None):
-    """A book's dynamics report and its columns (None on a FAIL)."""
+def _pool_map(fn, items, jobs: int) -> list:
+    """[fn(item) for item in items] over min(jobs, len(items)) worker
+    processes, or in this process when that is 1 or less."""
+    if (workers := min(jobs, len(items))) <= 1:
+        return [fn(item) for item in items]
+    from concurrent.futures import ProcessPoolExecutor
+    with ProcessPoolExecutor(max_workers=workers) as pool:
+        return list(pool.map(fn, items))
+
+
+def _deterministic_checks(cfg, spec, params, traj: Trajectory, rep: int):
+    """The configured checks of one book, over columns built once.  Every
+    check assumes the queue recursion, so a book whose rows do not fit
+    its market or break the recursion is a dynamics failure alone."""
     try:
-        columns = columns or traj.columns()
+        columns = traj.columns()
         traj.check_dynamics(columns)
     except StructuralError as exc:
-        return BoundReport(FAIL, -1.0, rep,
-                           {"check": "dynamics", "error": str(exc)}), None
-    return BoundReport(PASS, detail={"check": "dynamics"}), columns
-
-
-def _deterministic_checks(cfg, spec, params, traj: Trajectory, rep: int,
-                          dynamics=None, columns=None):
-    """The configured checks of one book, over columns built once."""
-    if columns is None and {"dynamics", "queue_band", "frame_drift"} \
-            & set(cfg.verify):
-        columns = traj.columns()
+        return {"dynamics": BoundReport(FAIL, -1.0, rep,
+                                        {"check": "dynamics",
+                                         "error": str(exc)})}
     reports = {}
     for name in cfg.verify:
         if name == "dynamics":
-            reports[name] = dynamics or _dynamics_report(traj, rep,
-                                                         columns)[0]
+            reports[name] = BoundReport(PASS, detail={"check": "dynamics"})
         elif name == "queue_band":
             reports[name] = verify_queue_band(traj, columns)
         elif name == "slot_optimality":
@@ -200,29 +208,25 @@ def cmd_run(cfg: ExperimentConfig, out_dir, jobs: int) -> int:
                           location="/write_trajectories")
     source, spec, params = _resolved(cfg)
     _check_statistical_config(cfg)
-    records = bool(cfg.verify and set(cfg.verify) & set(DETERMINISTIC_CHECKS)) \
-        or cfg.write_trajectories
+    checks = set(cfg.verify) & set(DETERMINISTIC_CHECKS)
+    records = bool(checks) or cfg.write_trajectories
     worker = functools.partial(_run_block, spec, params, source,
                                cfg.horizon, cfg.seed, records)
     reps = range(cfg.replications)
-    if jobs > 1:
-        from concurrent.futures import ProcessPoolExecutor
-        if cfg.source.kind != "trace":
-            import numpy  # noqa: F401  (once here, so forked workers inherit it)
-        blocks = [reps[i::jobs] for i in range(min(jobs, len(reps)))]
-        with ProcessPoolExecutor(max_workers=len(blocks)) as pool:
-            results = sorted((item for block in pool.map(worker, blocks)
-                              for item in block), key=lambda item: item[0])
-    else:
-        results = worker(reps)
+    blocks = [reps[i::jobs] for i in range(min(jobs, len(reps)))]
+    if len(blocks) > 1 and cfg.source.kind != "trace":
+        import numpy  # noqa: F401  (once here, so forked workers inherit it)
+    results = sorted((item for block in _pool_map(worker, blocks, jobs)
+                      for item in block), key=lambda item: item[0])
     totals = []
     det_reports = []
     for r, payload in results:
         if records:
             traj = payload
             totals.append(traj.cumulative_profit())
-            det_reports.append(_deterministic_checks(cfg, spec, params,
-                                                     traj, r))
+            if checks:
+                det_reports.append(_deterministic_checks(cfg, spec, params,
+                                                         traj, r))
             if cfg.write_trajectories:
                 os.makedirs(out_dir, exist_ok=True)
                 with open(os.path.join(out_dir, f"trajectory_{r}.csv"),
@@ -281,14 +285,8 @@ def cmd_oracle(cfg: ExperimentConfig, out_dir, jobs: int) -> int:
         T = int(cfg.oracle.get("window", 4))
         M = min(cfg.horizon, len(source)) // T
         frames = [source.sequence[m * T:(m + 1) * T] for m in range(M)]
-        worker = functools.partial(lookahead_psi, spec)
-        # One worker per frame at most; a pool of 0 workers is an error.
-        if (workers := min(jobs, len(frames))) > 1:
-            from concurrent.futures import ProcessPoolExecutor
-            with ProcessPoolExecutor(max_workers=workers) as pool:
-                values = list(pool.map(worker, frames))
-        else:
-            values = [worker(f) for f in frames]
+        values = _pool_map(functools.partial(lookahead_psi, spec), frames,
+                           jobs)
         body = {"oracle": {"mode": "lookahead", "window": T,
                            "psi": [cents_to_str(v.psi_cents) for v in values],
                            "psi_total": cents_to_str(
@@ -310,11 +308,7 @@ def cmd_verify(cfg: ExperimentConfig, trajectory_path, out_dir) -> int:
     _, spec, params = _resolved(cfg)
     with open_input(trajectory_path, "--trajectory") as fh:
         traj = Trajectory.from_csv(fh, spec, params)
-    # The other checks assume the queue recursion holds, so a trajectory
-    # that breaks it is reported as a dynamics failure alone.
-    dynamics, columns = _dynamics_report(traj, 0)
-    reports = {"dynamics": dynamics} if not dynamics.ok else \
-        _deterministic_checks(cfg, spec, params, traj, 0, dynamics, columns)
+    reports = _deterministic_checks(cfg, spec, params, traj, 0)
     body = {"reports": {k: v.to_json() for k, v in reports.items()}}
     _emit(_bundle(cfg, body), out_dir)
     return _exit_for(reports)
@@ -360,7 +354,8 @@ def cmd_trace_convert(cfg: ExperimentConfig, input_path, cap_policy,
             raise ConfigError("trace-convert needs --input or a trace source")
         input_path, location = cfg.source.path, "/source/path"
     with open_input(input_path, location) as fh:
-        trace, caps = load_trace(fh, cfg.market, cap_policy=cap_policy)
+        trace, caps = load_trace(fh, cfg.market,
+                                 cap_policy=cap_policy or cfg.source.cap_policy)
     body = {"trace": {"rows": len(trace),
                       "effective_caps": [cents_to_str(c) for c in caps]}}
     if out_dir:
@@ -400,8 +395,9 @@ def build_parser() -> argparse.ArgumentParser:
                            help="trajectory CSV to verify")
         if name == "trace-convert":
             p.add_argument("--input", default=None, help="trace CSV to read")
-            p.add_argument("--cap-policy", default="reject",
-                           choices=("reject", "auto_expand"))
+            p.add_argument("--cap-policy", default=None,
+                           choices=("reject", "auto_expand"),
+                           help="default: the config source's cap_policy")
     return parser
 
 

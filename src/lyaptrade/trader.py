@@ -473,14 +473,12 @@ class Trajectory:
                             + [cents_to_str(self.profits[t])])
 
     @staticmethod
-    def from_csv(stream, spec: MarketSpec, params: TraderParams,
-                 initial_queue=None) -> "Trajectory":
+    def from_csv(stream, spec: MarketSpec,
+                 params: TraderParams) -> "Trajectory":
         """Read what to_csv writes.  A header, column count, slot number
         or price that does not fit that layout is a ParseError."""
         n = spec.n_stocks
-        traj = Trajectory(spec, params,
-                          tuple(initial_queue) if initial_queue is not None
-                          else params.resolved_initial_queue(spec))
+        traj = Trajectory(spec, params, params.resolved_initial_queue(spec))
         columns = (("A", traj.buys), ("mu", traj.sells), ("Q", traj.queues))
         for rownum, row in _csv_rows(stream, _csv_header(n), "trajectory"):
             traj.prices.append(tuple(_parse_price_cell(c, rownum)

@@ -201,6 +201,33 @@ class TestRun:
         b = json.loads((tmp_path / "p" / "summary.json").read_text())
         assert a["content_hash"] == b["content_hash"]
 
+    @pytest.mark.parametrize("reps, pools", [(1, []), (4, [2])])
+    def test_run_pool_never_outnumbers_blocks(self, tmp_path, monkeypatch,
+                                              reps, pools):
+        # --jobs 2 forks one worker per block of replications, and none
+        # for a single block; the summary is that of --jobs 1.
+        import concurrent.futures
+        opened = []
+
+        class Counted(concurrent.futures.ProcessPoolExecutor):
+            def __init__(self, max_workers=None, *args, **kwargs):
+                opened.append(max_workers)
+                super().__init__(max_workers, *args, **kwargs)
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor",
+                            Counted)
+        cfg = write_config(tmp_path, dict(BASE, replications=reps,
+                                          verify=["dynamics"]))
+        hashes = []
+        for jobs in ("1", "2"):
+            out = tmp_path / jobs
+            assert main(["run", "--config", cfg, "--jobs", jobs,
+                         "--out", str(out)]) == 0
+            hashes.append(json.loads((out / "summary.json").read_text())
+                          ["content_hash"])
+        assert opened == pools
+        assert hashes[0] == hashes[1]
+
     @pytest.mark.parametrize("command", ["run", "oracle"])
     @pytest.mark.parametrize("args, message", [
         (["--jobs", "0"], "--jobs: must be at least 1, got 0"),
@@ -402,7 +429,7 @@ class TestVerifySubcommand:
 
     def test_book_checked_once_and_transposed_once(self, tmp_path, capsys,
                                                    monkeypatch):
-        # The dynamics gate's report and columns serve the checks after it.
+        # The recursion gate's columns serve the checks after it.
         doc = dict(BASE, write_trajectories=True, horizon=50,
                    verify=["dynamics", "queue_band", "frame_drift"],
                    options={"window": 4})
@@ -435,6 +462,50 @@ class TestVerifySubcommand:
         assert list(reports) == ["dynamics"]
         assert "slot 19" in reports["dynamics"]["detail"]["error"]
         assert sorted(calls) == ["check_dynamics", "columns"]
+
+    def test_run_and_verify_gate_each_book_alike(self, tmp_path, capsys):
+        # `run` and `verify` check a book along one path: the same
+        # reports on the book `run` wrote, and a dynamics failure alone,
+        # checked or not, once it breaks the queue recursion.
+        trace = tmp_path / "trace.csv"
+        trace.write_text("slot,p_1\n" + "".join(
+            f"{t},{1 + t % 3 // 2}.00\n" for t in range(24)))
+        checks = ["dynamics", "queue_band", "slot_optimality", "frame_drift",
+                  "thm3"]
+        doc = dict(BASE, horizon=24, write_trajectories=True, verify=checks,
+                   source={"kind": "trace", "path": str(trace)},
+                   options={"window": 4, "optimality_slots": 8})
+        cfg = write_config(tmp_path, doc)
+        assert main(["run", "--config", cfg,
+                     "--out", str(tmp_path / "out")]) == 0
+        expected = read_summary(tmp_path)["reports"]
+        assert list(expected) == checks
+        book = tmp_path / "out" / "trajectory_0.csv"
+        capsys.readouterr()
+        assert main(["verify", "--config", cfg,
+                     "--trajectory", str(book)]) == 0
+        assert json.loads(capsys.readouterr().out)["reports"] == expected
+        lines = book.read_text().splitlines()
+        cols = lines[10].split(",")
+        cols[4] = str(int(cols[4]) + 1)  # slot,p_1,A_1,mu_1,Q_1,profit
+        lines[10] = ",".join(cols)
+        book.write_text("\n".join(lines) + "\n")
+        for verify in (checks, checks[1:]):
+            doc["verify"] = verify
+            cfg = write_config(tmp_path, doc)
+            assert main(["verify", "--config", cfg,
+                         "--trajectory", str(book)]) == 2
+            reports = json.loads(capsys.readouterr().out)["reports"]
+            assert reports == {"dynamics": {
+                "verdict": "fail", "slack": -1.0, "locus": 0,
+                "detail": {"check": "dynamics", "error":
+                           "queue dynamics violated at slot 9"}}}
+            config = config_from_json(doc)
+            spec, params = cli._resolved(config)[1:]
+            with open(book) as fh:
+                traj = Trajectory.from_csv(fh, spec, params)
+            got = cli._deterministic_checks(config, spec, params, traj, 0)
+            assert {k: v.to_json() for k, v in got.items()} == reports
 
     def test_row_of_wrong_width_is_a_dynamics_fail(self, tmp_path, capsys,
                                                   monkeypatch):
@@ -723,6 +794,23 @@ class TestTraceConvert:
         err += capsys.readouterr().err
         assert "config: /source/path: cannot read " in err, err
         assert "Traceback" not in err
+
+    def test_config_cap_policy_is_the_default(self, tmp_path, capsys):
+        # The run reads the trace with the config's cap_policy, and so
+        # does trace-convert unless --cap-policy says otherwise.
+        trace = tmp_path / "trace.csv"
+        trace.write_text("slot,p_1\n0,4.00\n")
+        doc = dict(BASE, horizon=1, source={
+            "kind": "trace", "path": str(trace), "cap_policy": "auto_expand"})
+        cfg = write_config(tmp_path, doc)
+        assert main(["run", "--config", cfg]) == 0
+        capsys.readouterr()
+        assert main(["trace-convert", "--config", cfg]) == 0
+        out = json.loads(capsys.readouterr().out)
+        assert out["trace"]["effective_caps"] == ["4.00"]
+        assert main(["trace-convert", "--config", cfg,
+                     "--cap-policy", "reject"]) == 5
+        assert "row 1: price 4.00 exceeds cap 2.00" in capsys.readouterr().err
 
     def test_auto_expand(self, tmp_path, capsys):
         trace = tmp_path / "trace.csv"

@@ -17,7 +17,6 @@ import pytest
 from lyaptrade import (BudgetMode, CostFunction, MarketSpec, PriceDistribution,
                        StockSpec, TraderParams, compute_constants, run_backtest,
                        slot_profit)
-from lyaptrade.analysis import _lemma_terms
 from lyaptrade.errors import CapacityError, StructuralError
 from lyaptrade.market import TradeDecision
 from lyaptrade.oracles import brute_force_slot_min, enumerate_actions
@@ -292,9 +291,11 @@ def test_scaled_terms_match_reference():
                 terms.buy_cost) == (S, k, thetaS, sell_cost, buy_cost)
         assert scaled_terms(spec, params) is terms
         assert SlotSolver(spec, params).terms is terms
+        # The frame lemma's integer window constant 2S²·D·T².
         T = rng.randint(1, 6)
-        assert _lemma_terms(spec, params, T) \
-            == (terms, int(2 * S * S * compute_constants(spec, T).D * T * T))
+        assert S * S * (3 * T * T + 2 * T + 1) * sum(
+            s.mu_max ** 2 for s in spec.stocks) \
+            == 2 * S * S * compute_constants(spec, T).D * T * T
         resolved = params.resolved_theta(spec)
         for _ in range(5):
             prices = tuple(rng.randrange(0, s.p_max + 1) for s in spec.stocks)
