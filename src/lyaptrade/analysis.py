@@ -138,8 +138,19 @@ def verify_queue_band(traj: Trajectory, columns=None) -> BoundReport:
     return BoundReport(PASS, float(worst), locus, detail)
 
 
-def _check_alternative(spec, prices, d: TradeDecision):
-    # Virtual alternatives skip the ownership constraint.
+def _check_alternative(spec, sell_cost, prices, d: TradeDecision):
+    """Raise unless d passes validate_decision at prices with no queue
+    (virtual alternatives skip ownership).  The prices' caps, the trade
+    caps, the fee cover from the sell cost tables `sell_cost` and the
+    budget are checked here; validate_decision only words the error."""
+    n = spec.n_stocks
+    if len(prices) == n == len(d.buys) and all(
+            0 <= q <= s.p_max and 0 <= a <= s.mu_max and 0 <= m <= s.mu_max
+            and m * q >= tab[m] for s, tab, q, a, m
+            in zip(spec.stocks, sell_cost, prices, d.buys, d.sells)):
+        sizes, limit = spec.budget.purchase_rule(prices)
+        if sum(map(mul, d.buys, sizes)) <= limit:
+            return
     verdict = validate_decision(spec, prices, None, d)
     if not verdict.ok:
         raise StructuralError(f"infeasible alternative: {verdict.violations}")
@@ -177,7 +188,7 @@ def verify_slot_optimality(traj: Trajectory, alternatives) -> BoundReport:
         if breach:
             return breach
         prices = traj.prices[t]
-        _check_alternative(spec, prices, alt)
+        _check_alternative(spec, terms.sell_cost, prices, alt)
         q = traj.queue_at(t)
         ours = terms.scaled_objective(prices, q, traj.sells[t], traj.buys[t])
         theirs = terms.scaled_objective(prices, q, alt.sells, alt.buys)
@@ -228,7 +239,7 @@ def verify_tslot_lemma(traj: Trajectory, alt_sequence, t0: int,
     gain = 0  # our frame profit less the alternative's, in cents
     for p, m, a, alt in zip(traj.prices[t0:t0 + T], traj.sells[t0:t0 + T],
                             traj.buys[t0:t0 + T], alt_sequence):
-        _check_alternative(spec, p, alt)
+        _check_alternative(spec, terms.sell_cost, p, alt)
         gain += profit(p, m, a) - profit(p, alt.sells, alt.buys)
     net = map(sum, zip(*(map(sub, alt.sells, alt.buys)
                          for alt in alt_sequence)))

@@ -283,7 +283,13 @@ def cmd_oracle(cfg: ExperimentConfig, out_dir, jobs: int) -> int:
             raise ConfigError("lookahead oracle needs a trace source",
                               location="/oracle")
         T = int(cfg.oracle.get("window", 4))
-        M = min(cfg.horizon, len(source)) // T
+        slots = min(cfg.horizon, len(source))
+        M = slots // T
+        if M == 0:
+            raise ConfigError(
+                f"the lookahead needs at least one frame of {T} slots, but "
+                f"the trace has {slots} within the horizon",
+                location="/oracle/window")
         frames = [source.sequence[m * T:(m + 1) * T] for m in range(M)]
         values = _pool_map(functools.partial(lookahead_psi, spec), frames,
                            jobs)

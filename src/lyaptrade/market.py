@@ -184,6 +184,19 @@ class MarketSpec:
             raise ConfigError("stock indices must be contiguous from 0")
         object.__setattr__(self, "stocks", stocks)
 
+    def __hash__(self) -> int:
+        """The dataclass hash, walked through every stock once per spec and
+        process: the caches keyed by a spec hash it on every lookup."""
+        h = self.__dict__.get("_hash")
+        if h is None:
+            h = hash((self.stocks, self.budget))
+            object.__setattr__(self, "_hash", h)
+        return h
+
+    def __getstate__(self) -> dict:
+        # String hashes differ between processes: a pickled spec re-hashes.
+        return {k: v for k, v in self.__dict__.items() if k != "_hash"}
+
     @property
     def n_stocks(self) -> int:
         return len(self.stocks)

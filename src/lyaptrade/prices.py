@@ -205,6 +205,12 @@ def _parse_price_cell(cell: str, row: int) -> int:
     return int(cents)
 
 
+def _cap_error(price: int, cap: int, stock: int, row: int) -> ParseError:
+    """The error of a price above its stock's cap, in money strings."""
+    return ParseError(f"price {cents_to_str(price)} exceeds cap "
+                      f"{cents_to_str(cap)} for stock {stock}", row=row)
+
+
 def _csv_rows(stream, header, what):
     """Yield (row number, row) for each data row of a CSV whose header is
     `header`, checking that row t (numbered from 1) has one cell per
@@ -249,9 +255,7 @@ def load_trace(stream, spec: MarketSpec, cap_policy: str = "reject"):
         for i, (p, s) in enumerate(zip(prices, spec.stocks)):
             if p > caps[i]:
                 if cap_policy == "reject":
-                    raise ParseError(
-                        f"price {cents_to_str(p)} exceeds cap "
-                        f"{cents_to_str(s.p_max)} for stock {i}", row=rownum)
+                    raise _cap_error(p, s.p_max, i, rownum)
                 caps[i] = p
         rows.append(prices)
     return PriceTrace(tuple(rows), source=getattr(stream, "name", "<stream>")), tuple(caps)

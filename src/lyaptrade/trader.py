@@ -28,7 +28,7 @@ from .errors import CapacityError, ConfigError, StructuralError
 from .market import MarketSpec
 from .money import _as_fraction, _integer, cents_to_str, cents_to_units
 from .prices import (MarkovPriceModel, PriceDistribution, PriceTrace,
-                     _csv_rows, _parse_price_cell, make_rng,
+                     _cap_error, _csv_rows, _parse_price_cell, make_rng,
                      markov_state_sequence, sample_iid_indices)
 
 DEFAULT_CAPACITY_CELLS = 10 ** 8
@@ -158,6 +158,16 @@ class ScaledTerms:
 
 
 @functools.lru_cache(maxsize=8)
+def cost_tables(spec: MarketSpec) -> tuple:
+    """(sell tables, buy tables) of spec, built once per spec: table[n][m]
+    is stock n's cost in cents of m = 0..mu_n shares on that side."""
+    return (tuple(tuple(map(s.sell_cost, range(s.mu_max + 1)))
+                  for s in spec.stocks),
+            tuple(tuple(map(s.buy_cost, range(s.mu_max + 1)))
+                  for s in spec.stocks))
+
+
+@functools.lru_cache(maxsize=8)
 def scaled_terms(spec: MarketSpec, params: TraderParams) -> ScaledTerms:
     """The ScaledTerms of (spec, params), built once per pair."""
     theta = params.resolved_theta(spec)
@@ -166,11 +176,7 @@ def scaled_terms(spec: MarketSpec, params: TraderParams) -> ScaledTerms:
     den = 100 * params.V.denominator
     S = math.lcm(den, *(t.denominator for t in theta))
     return ScaledTerms(S, S // den * params.V.numerator,
-                       tuple(int(t * S) for t in theta),
-                       tuple(tuple(map(s.sell_cost, range(s.mu_max + 1)))
-                             for s in spec.stocks),
-                       tuple(tuple(map(s.buy_cost, range(s.mu_max + 1)))
-                             for s in spec.stocks))
+                       tuple(int(t * S) for t in theta), *cost_tables(spec))
 
 
 class SlotSolver:
@@ -476,13 +482,17 @@ class Trajectory:
     def from_csv(stream, spec: MarketSpec,
                  params: TraderParams) -> "Trajectory":
         """Read what to_csv writes.  A header, column count, slot number
-        or price that does not fit that layout is a ParseError."""
+        or price that does not fit that layout, or a price above its
+        stock's cap, is a ParseError."""
         n = spec.n_stocks
         traj = Trajectory(spec, params, params.resolved_initial_queue(spec))
         columns = (("A", traj.buys), ("mu", traj.sells), ("Q", traj.queues))
         for rownum, row in _csv_rows(stream, _csv_header(n), "trajectory"):
             traj.prices.append(tuple(_parse_price_cell(c, rownum)
                                      for c in row[1:1 + n]))
+            for s, p in zip(spec.stocks, traj.prices[-1]):
+                if p > s.p_max:
+                    raise _cap_error(p, s.p_max, s.index, rownum)
             for k, (name, out) in enumerate(columns, start=1):
                 out.append(tuple(_integer(c, f"row {rownum}/{name}_{i + 1}")
                                  for i, c in enumerate(row[1 + k * n:][:n])))

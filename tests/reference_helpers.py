@@ -2,7 +2,9 @@
 
 `reference_tslot_lemma` is the T-slot frame lemma in `Fraction`s, the
 reference that `lyaptrade.analysis.verify_tslot_lemma`, written in scaled
-integers, is compared with bit for bit.  The others check the paper's
+integers, is compared with bit for bit; it checks each alternative by
+`validate_decision` alone, not by the cost tables the live check reads.
+The others check the paper's
 one-slot drift expansion and its shifted-queue step, read a place-holder
 book's actual holdings and the start-up purchase it avoids, and read a
 price-only policy's table.  `reference_scaled_terms` is the scaled frame
@@ -13,10 +15,17 @@ as `SlotSolver.__init__` built it for itself, the reference for
 import math
 from fractions import Fraction
 
-from lyaptrade.analysis import (FAIL, PASS, BoundReport, _check_alternative,
-                                _phi_dollars, compute_constants, lyapunov)
+from lyaptrade.analysis import (FAIL, PASS, BoundReport, _phi_dollars,
+                                compute_constants, lyapunov)
 from lyaptrade.errors import StructuralError
-from lyaptrade.market import TradeDecision
+from lyaptrade.market import TradeDecision, validate_decision
+
+
+def _check_alternative(spec, prices, d: TradeDecision):
+    # Virtual alternatives skip the ownership constraint.
+    verdict = validate_decision(spec, prices, None, d)
+    if not verdict.ok:
+        raise StructuralError(f"infeasible alternative: {verdict.violations}")
 
 
 def sample_path_drift(traj, t0: int, window: int) -> Fraction:

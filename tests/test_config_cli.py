@@ -645,6 +645,32 @@ class TestVerifySubcommand:
         err = capsys.readouterr().err
         assert err.startswith(f"config: {message}"), err
 
+    @pytest.mark.parametrize("checks", [
+        ["dynamics"], ["dynamics", "slot_optimality"], ["dynamics", "thm3"]])
+    def test_price_over_its_cap_is_located(self, tmp_path, capsys, checks):
+        # A book price above its stock's cap is a parse error that names
+        # the row in money strings, whichever checks are named.
+        trace = tmp_path / "trace.csv"
+        trace.write_text("slot,p_1\n" + "".join(
+            f"{t},{(1, 2, 0.5)[t % 3]:.2f}\n" for t in range(12)))
+        doc = dict(BASE, horizon=12, write_trajectories=True,
+                   source={"kind": "trace", "path": str(trace)},
+                   verify=checks, options={"window": 4})
+        cfg = write_config(tmp_path, doc)
+        assert main(["run", "--config", cfg,
+                     "--out", str(tmp_path / "out")]) == 0
+        book = tmp_path / "out" / "trajectory_0.csv"
+        lines = book.read_text().splitlines()
+        lines[7] = ",".join(["6", "9.99"] + lines[7].split(",")[2:])
+        book.write_text("\n".join(lines) + "\n")
+        capsys.readouterr()
+        assert main(["verify", "--config", cfg, "--trajectory",
+                     str(book)]) == 5
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith(
+            "config: row 7: price 9.99 exceeds cap 2.00 for stock 0"), err
+
     def test_missing_trajectory_is_located(self, tmp_path, capsys):
         cfg = write_config(tmp_path, dict(BASE, verify=["queue_band"]))
         assert main(["verify", "--config", cfg, "--trajectory",
@@ -693,8 +719,9 @@ class TestOracleSubcommand:
     @pytest.mark.parametrize("rows, pools", [(1, []), (2, []), (4, [2])])
     def test_lookahead_pool_never_outnumbers_frames(self, tmp_path, capsys,
                                                     monkeypatch, rows, pools):
-        # --jobs 3 forks one worker per frame at most, and none for zero
-        # or one frame; psi is that of --jobs 1.
+        # --jobs 3 forks one worker per frame at most, and none for one
+        # frame; psi is that of --jobs 1.  One slot holds no frame of 2:
+        # a config error at either --jobs, before any pool opens.
         import concurrent.futures
         opened = []
 
@@ -712,13 +739,36 @@ class TestOracleSubcommand:
                    source={"kind": "trace", "path": str(trace)},
                    oracle={"mode": "lookahead", "window": 2})
         cfg = write_config(tmp_path, doc)
-        psi = []
+        results = []
         for jobs in ("1", "3"):
-            assert main(["oracle", "--config", cfg, "--jobs", jobs]) == 0
-            psi.append(json.loads(capsys.readouterr().out)["oracle"])
+            code = main(["oracle", "--config", cfg, "--jobs", jobs])
+            out, err = capsys.readouterr()
+            results.append((code, err) if code else
+                           (code, json.loads(out)["oracle"]["psi"]))
         assert opened == pools
-        assert psi[0] == psi[1]
-        assert len(psi[0]["psi"]) == rows // 2
+        assert results[0] == results[1]
+        code, psi = results[0]
+        if rows < 2:
+            assert code == 5 and "/oracle/window" in psi, psi
+        else:
+            assert code == 0 and len(psi) == rows // 2
+
+    @pytest.mark.parametrize("horizon, window, slots", [(3, 4, 3), (2, 3, 2)])
+    def test_window_longer_than_the_trace_is_located(self, tmp_path, capsys,
+                                                     horizon, window, slots):
+        # No whole frame within the horizon is a located config error,
+        # as it is for thm3 under `run`, not an empty psi.
+        trace = tmp_path / "trace.csv"
+        trace.write_text("slot,p_1\n0,1.00\n1,2.00\n2,1.00\n")
+        doc = dict(BASE, horizon=horizon,
+                   source={"kind": "trace", "path": str(trace)},
+                   oracle={"mode": "lookahead", "window": window})
+        assert main(["oracle", "--config", write_config(tmp_path, doc)]) == 5
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("config: /oracle/window: ") \
+            and f"frame of {window} slots" in err \
+            and f"has {slots} within" in err, err
 
     def test_constant_trace_zero_psi(self, tmp_path, capsys):
         trace = tmp_path / "trace.csv"

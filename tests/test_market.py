@@ -1,6 +1,7 @@
 """Market spec, feasibility checking, profit accounting, dynamics."""
 
 import json
+import pickle
 
 import pytest
 
@@ -243,3 +244,38 @@ class TestJson:
     def test_bad_budget_mode(self):
         with pytest.raises(ConfigError):
             BudgetMode("weekly")
+
+
+class TestSpecHash:
+    """A spec hashes its stocks once per process, not on every lookup of
+    the caches keyed by it."""
+
+    @staticmethod
+    def spec():
+        return MarketSpec(
+            (StockSpec(0, 2, 300, buy_cost=CostFunction("fixed", fee=5)),
+             StockSpec(1, 1, 200,
+                       sell_cost=CostFunction("table", values=(0, 3)))),
+            BudgetMode("money", money=400))
+
+    def test_equal_specs_hash_equal(self):
+        a, b = self.spec(), self.spec()
+        assert a is not b and a == b
+        assert hash(a) == hash(b) == hash((a.stocks, a.budget))
+        assert repr(a) == repr(b) and "_hash" not in repr(a)
+        assert a != MarketSpec(a.stocks)
+
+    def test_hash_is_kept_once_computed(self, monkeypatch):
+        spec = self.spec()
+        first = hash(spec)
+        monkeypatch.setattr(StockSpec, "__hash__", None)  # unhashable now
+        assert hash(spec) == first
+
+    def test_pickled_spec_rehashes(self):
+        # String hashes differ between processes, so the kept hash is
+        # not pickled with the spec.
+        spec = self.spec()
+        hash(spec)
+        again = pickle.loads(pickle.dumps(spec))
+        assert "_hash" in vars(spec) and "_hash" not in vars(again)
+        assert again == spec and hash(again) == hash(spec)

@@ -24,8 +24,9 @@ from types import SimpleNamespace
 from lyaptrade import (BudgetMode, CostFunction, MarketSpec, StockSpec,
                        TraderParams, Trajectory, cli, enumerate_actions,
                        lookahead_psi, run_backtest)
-from lyaptrade.analysis import (FAIL, PASS, BoundReport, _int_gt_threshold,
-                                _int_lt_threshold, check_frame_drift,
+from lyaptrade.analysis import (FAIL, PASS, BoundReport, _check_alternative,
+                                _int_gt_threshold, _int_lt_threshold,
+                                check_frame_drift,
                                 verify_queue_band, verify_slot_optimality,
                                 verify_thm3, verify_tslot_lemma)
 from lyaptrade.errors import LyaptradeError, StructuralError
@@ -34,10 +35,11 @@ from lyaptrade.money import cents_to_units
 from lyaptrade.oracles import (DEFAULT_ENUM_CAP, _feasible,
                                brute_force_slot_min)
 from lyaptrade.prices import PriceTrace
-from lyaptrade.trader import (SlotSolver, capacity_cells, queue_band,
-                              scaled_terms)
+from lyaptrade.trader import (SlotSolver, capacity_cells, cost_tables,
+                              queue_band, scaled_terms)
 
 from conftest import random_cost, random_dist, random_small_spec, random_trace
+from reference_helpers import _check_alternative as reference_check
 from reference_helpers import reference_tslot_lemma
 
 
@@ -136,8 +138,9 @@ def reference_brute_force_slot_min(params, spec, prices, queue):
     scored once and every pair is compared by the sum."""
     prices = spec.check_prices(prices)
     score = scaled_terms(spec, params).scaled_objective
-    buy_set, sell_set = _feasible(spec, prices, queue,
-                                  capacity_cells(DEFAULT_ENUM_CAP))
+    buy_set, sell_set = _feasible(
+        [s.mu_max for s in spec.stocks], cost_tables(spec)[0], spec.budget,
+        prices, queue, capacity_cells(DEFAULT_ENUM_CAP))
     zero = (0,) * spec.n_stocks
     sell_scores = [(score(prices, queue, sells, zero), sum(sells), sells)
                    for sells in sell_set]
@@ -491,6 +494,41 @@ def test_integer_lemma_errors_match_reference():
         got = outcome(verify_tslot_lemma, traj, alts, t0, T)
         assert isinstance(got, tuple) and got[0] is StructuralError
         assert got == outcome(reference_tslot_lemma, traj, alts, t0, T)
+
+
+def test_alternative_check_matches_validate_decision():
+    # The table-read check raises exactly when validate_decision finds a
+    # violation or raises itself, with its words: prices at and past the
+    # caps, quantities past the trade caps, sales short of their fee and
+    # buys over the budget, and vectors of the wrong length.
+    rng = random.Random(29)
+    WORDS = ("sell_limit", "sell_fee_cover", "buy_limit", "budget",
+             "price vector", "exceeds cap", "negative price",
+             "decision dimensioned")
+    raised = set()
+    for _ in range(300):
+        traj = _lemma_book(rng)
+        spec = traj.spec
+        n = spec.n_stocks
+        for _ in range(6):
+            prices = [rng.choice((0, s.p_max, rng.randrange(s.p_max + 1),
+                                  s.p_max + 1, -1)) if rng.random() < 0.3
+                      else rng.randrange(s.p_max + 1) for s in spec.stocks]
+            prices = tuple(prices[:n - 1] if rng.random() < 0.05 else prices)
+            width = n + (rng.random() < 0.05)
+            d = TradeDecision(*([rng.randint(-1, s.mu_max + 1)
+                                 if rng.random() < 0.2 else
+                                 rng.randint(0, s.mu_max)
+                                 for s in (spec.stocks * 2)[:width]]
+                                for _ in range(2)))
+            got = outcome(_check_alternative, spec,
+                          scaled_terms(spec, traj.params).sell_cost,
+                          prices, d)
+            assert got == outcome(reference_check, spec, prices, d), \
+                (spec, prices, d)
+            if got is not None:
+                raised.update(w for w in WORDS if w in got[1])
+    assert raised == set(WORDS), raised
 
 
 def test_over_cap_book_is_a_located_fail():
