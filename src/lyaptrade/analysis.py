@@ -54,7 +54,7 @@ class BoundReport:
 
     def to_json(self) -> dict:
         return {"verdict": self.verdict,
-                "slack": None if self.slack is math.inf else float(self.slack),
+                "slack": None if self.slack == math.inf else float(self.slack),
                 "locus": self.locus, "detail": self.detail}
 
 
@@ -198,7 +198,7 @@ def verify_slot_optimality(traj: Trajectory, alternatives) -> BoundReport:
                                t, {"check": "slot_optimality"})
         if slack < worst:
             worst, locus = slack, t
-    worst_f = math.inf if worst is math.inf \
+    worst_f = math.inf if worst == math.inf \
         else float(Fraction(worst, terms.scale))
     return BoundReport(PASS, worst_f, locus, {"check": "slot_optimality"})
 

@@ -3,8 +3,10 @@ scaled-wealth experiments from one JSON config.
 
 `run` and `verify` check a book along one path, `_deterministic_checks`,
 which reports a book that breaks the queue recursion as a dynamics
-failure alone.  `run`'s replication blocks and the lookahead oracle's
-frames are dealt over `--jobs` worker processes by `_pool_map`.
+failure alone.  `run` deals its replication blocks over `--jobs` worker
+processes by `_pool_map`; each block checks and writes its own books and
+hands back only totals and reports.  thm3 (but not inside a worker) and
+the lookahead oracle deal frames over `--jobs` by `_frame_lookaheads`.
 
 Exit codes: 0 all checks pass, 2 deterministic check failed,
 3 statistical check failed, 4 capacity exceeded, 5 config or usage error.
@@ -69,13 +71,27 @@ def _emit(bundle: dict, out_dir, name="summary.json"):
         print(text)
 
 
-def _run_block(spec, params, source, horizon, seed, records, reps):
-    """[(r, trajectory or (total, queue))] for the replications `reps`,
-    all through one solver so its slot memo spans the block."""
-    run = run_backtest if records else run_profit
+def _run_block(cfg, spec, params, source, out_dir, jobs, reps):
+    """[(r, total cents, reports)] for the replications `reps`, all through
+    one solver so its slot memo spans the block.  Each book is checked and
+    written here, thm3's frames over `jobs` workers; none leaves."""
     solver = SlotSolver(spec, params)
-    return [(r, run(spec, params, source, horizon, seed=seed, stream=r,
-                    solver=solver)) for r in reps]
+    checks = set(cfg.verify) & set(DETERMINISTIC_CHECKS)
+    results = []
+    for r in reps:
+        args = (spec, params, source, cfg.horizon, cfg.seed, r)
+        if not (checks or cfg.write_trajectories):
+            results.append((r, run_profit(*args, solver=solver)[0], {}))
+            continue
+        traj = run_backtest(*args, solver=solver)
+        results.append((r, traj.cumulative_profit(), _deterministic_checks(
+            cfg, spec, params, traj, r, jobs) if checks else {}))
+        if cfg.write_trajectories:
+            os.makedirs(out_dir, exist_ok=True)
+            with open(os.path.join(out_dir, f"trajectory_{r}.csv"),
+                      "w") as fh:
+                traj.to_csv(fh)
+    return results
 
 
 def _pool_map(fn, items, jobs: int) -> list:
@@ -88,7 +104,19 @@ def _pool_map(fn, items, jobs: int) -> list:
         return list(pool.map(fn, items))
 
 
-def _deterministic_checks(cfg, spec, params, traj: Trajectory, rep: int):
+def _frame_lookaheads(spec, prices, T, jobs, who="thm3",
+                      held="the trajectory has {}", at="/options/window"):
+    """lookahead_psi of each whole frame of T slots of `prices`, in order,
+    dealt over `jobs` worker processes by `_pool_map`.  Prices that hold
+    no whole frame are a config error at `at`, before any work."""
+    if len(prices) < T:
+        raise ConfigError(f"{who} needs at least one frame of {T} slots, "
+                          f"but {held.format(len(prices))}", location=at)
+    return _pool_map(functools.partial(lookahead_psi, spec), [
+        prices[t0:t0 + T] for t0 in range(0, len(prices) - T + 1, T)], jobs)
+
+
+def _deterministic_checks(cfg, spec, params, traj: Trajectory, rep, jobs=1):
     """The configured checks of one book, over columns built once.  Every
     check assumes the queue recursion, so a book whose rows do not fit
     its market or break the recursion is a dynamics failure alone."""
@@ -125,30 +153,26 @@ def _deterministic_checks(cfg, spec, params, traj: Trajectory, rep: int):
             # decisions, sums to the bound; the first frame that fails
             # is the FAIL.
             T = cfg.window
-            M = traj.n_slots // T
-            if M == 0:
-                raise ConfigError(
-                    f"thm3 needs at least one frame of {T} slots, but the "
-                    f"trajectory has {traj.n_slots}", location="/options/window")
-            psi = []
-            for t0 in range(0, M * T, T):
-                frame = lookahead_psi(spec, traj.prices[t0:t0 + T])
-                lemma = verify_tslot_lemma(traj, frame.decisions, t0, T)
+            frames = _frame_lookaheads(spec, traj.prices, T, jobs)
+            for m, frame in enumerate(frames):
+                lemma = verify_tslot_lemma(traj, frame.decisions, m * T, T)
                 if not lemma.ok:
                     reports[name] = BoundReport(
-                        FAIL, lemma.slack, {"rep": rep, "t0": t0},
+                        FAIL, lemma.slack, {"rep": rep, "t0": m * T},
                         {**lemma.detail, "check": "frame_lemma", "window": T})
                     break
-                psi.append(frame.psi_cents)
             else:
-                reports[name] = verify_thm3(traj, psi, M, T)
+                reports[name] = verify_thm3(
+                    traj, [f.psi_cents for f in frames], len(frames), T)
     return reports
 
 
 def _check_statistical_config(cfg):
-    """The config errors of thm1 and thm2, raised before any replication
-    runs."""
+    """The config errors of thm1, thm2 and thm3, raised before any
+    replication runs; `_frame_lookaheads` raises and words thm3's."""
     for name in cfg.verify:
+        if name == "thm3" and cfg.horizon < cfg.window:
+            _frame_lookaheads(None, range(cfg.horizon), cfg.window, 1)
         if name == "thm1" and cfg.source.kind != "iid":
             raise ConfigError("thm1 needs an iid source", location="/verify")
         if name == "thm2":
@@ -182,8 +206,7 @@ def _merge(reports_by_rep):
     merged = {}
     for reports in reports_by_rep:
         for name, rep in reports.items():
-            merged[name] = rep if name not in merged \
-                else merged[name].merge(rep)
+            merged[name] = merged[name].merge(rep) if name in merged else rep
     return merged
 
 
@@ -208,33 +231,16 @@ def cmd_run(cfg: ExperimentConfig, out_dir, jobs: int) -> int:
                           location="/write_trajectories")
     source, spec, params = _resolved(cfg)
     _check_statistical_config(cfg)
-    checks = set(cfg.verify) & set(DETERMINISTIC_CHECKS)
-    records = bool(checks) or cfg.write_trajectories
-    worker = functools.partial(_run_block, spec, params, source,
-                               cfg.horizon, cfg.seed, records)
     reps = range(cfg.replications)
     blocks = [reps[i::jobs] for i in range(min(jobs, len(reps)))]
     if len(blocks) > 1 and cfg.source.kind != "trace":
         import numpy  # noqa: F401  (once here, so forked workers inherit it)
+    worker = functools.partial(_run_block, cfg, spec, params, source, out_dir,
+                               jobs if len(blocks) == 1 else 1)
     results = sorted((item for block in _pool_map(worker, blocks, jobs)
                       for item in block), key=lambda item: item[0])
-    totals = []
-    det_reports = []
-    for r, payload in results:
-        if records:
-            traj = payload
-            totals.append(traj.cumulative_profit())
-            if checks:
-                det_reports.append(_deterministic_checks(cfg, spec, params,
-                                                         traj, r))
-            if cfg.write_trajectories:
-                os.makedirs(out_dir, exist_ok=True)
-                with open(os.path.join(out_dir, f"trajectory_{r}.csv"),
-                          "w") as fh:
-                    traj.to_csv(fh)
-        else:
-            totals.append(payload[0])
-    reports = _merge(det_reports)
+    totals = [total for _, total, _ in results]
+    reports = _merge(reports for _, _, reports in results)
     reports.update(_statistical_checks(cfg, spec, params, totals))
     avg = [float(Fraction(t, 100 * cfg.horizon)) for t in totals]
     body = {
@@ -283,16 +289,9 @@ def cmd_oracle(cfg: ExperimentConfig, out_dir, jobs: int) -> int:
             raise ConfigError("lookahead oracle needs a trace source",
                               location="/oracle")
         T = int(cfg.oracle.get("window", 4))
-        slots = min(cfg.horizon, len(source))
-        M = slots // T
-        if M == 0:
-            raise ConfigError(
-                f"the lookahead needs at least one frame of {T} slots, but "
-                f"the trace has {slots} within the horizon",
-                location="/oracle/window")
-        frames = [source.sequence[m * T:(m + 1) * T] for m in range(M)]
-        values = _pool_map(functools.partial(lookahead_psi, spec), frames,
-                           jobs)
+        values = _frame_lookaheads(
+            spec, source.sequence[:cfg.horizon], T, jobs, "the lookahead",
+            "the trace has {} within the horizon", "/oracle/window")
         body = {"oracle": {"mode": "lookahead", "window": T,
                            "psi": [cents_to_str(v.psi_cents) for v in values],
                            "psi_total": cents_to_str(
@@ -304,7 +303,7 @@ def cmd_oracle(cfg: ExperimentConfig, out_dir, jobs: int) -> int:
     return EXIT_OK
 
 
-def cmd_verify(cfg: ExperimentConfig, trajectory_path, out_dir) -> int:
+def cmd_verify(cfg: ExperimentConfig, trajectory_path, out_dir, jobs) -> int:
     bad = set(cfg.verify) & set(STATISTICAL_CHECKS)
     if bad:
         raise ConfigError(f"{sorted(bad)} need a replication ensemble; "
@@ -314,7 +313,7 @@ def cmd_verify(cfg: ExperimentConfig, trajectory_path, out_dir) -> int:
     _, spec, params = _resolved(cfg)
     with open_input(trajectory_path, "--trajectory") as fh:
         traj = Trajectory.from_csv(fh, spec, params)
-    reports = _deterministic_checks(cfg, spec, params, traj, 0)
+    reports = _deterministic_checks(cfg, spec, params, traj, 0, jobs)
     body = {"reports": {k: v.to_json() for k, v in reports.items()}}
     _emit(_bundle(cfg, body), out_dir)
     return _exit_for(reports)
@@ -394,8 +393,9 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--seed", type=int, default=None,
                        help="override the config seed")
         p.add_argument("--out", default=None, help="output directory")
-        p.add_argument("--jobs", type=int, default=1,
-                       help="parallel worker processes")
+        if name in ("run", "oracle", "verify"):
+            p.add_argument("--jobs", type=int, default=1,
+                           help="parallel worker processes")
         if name == "verify":
             p.add_argument("--trajectory", default=None,
                            help="trajectory CSV to verify")
@@ -412,7 +412,7 @@ def main(argv=None) -> int:
     os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
     try:
         args = build_parser().parse_args(argv)
-        if args.jobs < 1:
+        if getattr(args, "jobs", 1) < 1:
             raise ConfigError(f"must be at least 1, got {args.jobs}", "--jobs")
         cfg = load_config(args.config)
         if args.seed is not None:
@@ -422,7 +422,7 @@ def main(argv=None) -> int:
         if args.command == "oracle":
             return cmd_oracle(cfg, args.out, args.jobs)
         if args.command == "verify":
-            return cmd_verify(cfg, args.trajectory, args.out)
+            return cmd_verify(cfg, args.trajectory, args.out, args.jobs)
         if args.command == "scaled":
             return cmd_scaled(cfg, args.out)
         if args.command == "trace-convert":

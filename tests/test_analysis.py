@@ -1,6 +1,9 @@
 """Bound constants, Lyapunov quantities, and the verifiers."""
 
+import math
+import pickle
 from fractions import Fraction
+from types import SimpleNamespace
 
 import pytest
 
@@ -11,7 +14,9 @@ from lyaptrade import (MarkovPriceModel, PriceTrace, TradeDecision,
                        verify_queue_band, verify_slot_optimality,
                        verify_thm1_profit, verify_thm2_profit, verify_thm3,
                        verify_tslot_lemma)
+from lyaptrade import cli
 from lyaptrade.analysis import FAIL, PASS, VACUOUS, check_frame_drift
+from lyaptrade.config import DETERMINISTIC_CHECKS
 from lyaptrade.errors import StatisticalPowerError, StructuralError
 
 from conftest import (adversarial_trace, one_stock_spec, random_small_spec,
@@ -259,6 +264,32 @@ class TestStatisticalVerifiers:
         # with T=1, eps=0: C1*T/V - B/V = (D - B)/V is the only bound gap
         assert markov.detail["bound"] == pytest.approx(
             iid.detail["bound"] - float((c.C1 - c.B) / 50) - float(c.C2) * 0)
+
+
+class TestBoundReport:
+    def test_pass_reports_print_alike_after_a_pickle_round_trip(self):
+        # A report that comes back from a worker process holds a float
+        # inf that is not math.inf; it must print as it did in the worker.
+        spec, params = one_stock_spec(), TraderParams(V=50)
+        traj = run_backtest(spec, params, uniform_two_price(), 64, seed=3)
+        cfg = SimpleNamespace(verify=DETERMINISTIC_CHECKS, window=4, seed=1,
+                              options={"optimality_slots": 0})
+        reports = list(cli._deterministic_checks(cfg, spec, params, traj,
+                                                 0).values())
+        totals = [run_profit(spec, params, uniform_two_price(), 2000, seed=5,
+                             stream=r)[0] for r in range(30)]
+        reports += [
+            verify_slot_optimality(traj, [(5, TradeDecision.zero(1))]),
+            verify_tslot_lemma(traj, [TradeDecision.zero(1)] * 4, 0, 4),
+            verify_thm1_profit(totals, 2000, spec, params, Fraction(1, 2)),
+            verify_thm2_profit(totals, 500, 4, 0, spec, params,
+                               Fraction(1, 2))]
+        assert len(reports) == len(DETERMINISTIC_CHECKS) + 4
+        for report in reports:
+            assert report.verdict == PASS, report
+            again = pickle.loads(pickle.dumps(report))
+            assert again.to_json() == report.to_json(), report
+        assert sum(r.slack == math.inf for r in reports) == 2
 
 
 class TestDriftInequalities:

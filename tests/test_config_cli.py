@@ -228,7 +228,8 @@ class TestRun:
         assert opened == pools
         assert hashes[0] == hashes[1]
 
-    @pytest.mark.parametrize("command", ["run", "oracle"])
+    @pytest.mark.parametrize("command", ["run", "oracle", "verify", "scaled",
+                                         "trace-convert"])
     @pytest.mark.parametrize("args, message", [
         (["--jobs", "0"], "--jobs: must be at least 1, got 0"),
         (["--jobs", "-1"], "--jobs: must be at least 1, got -1"),
@@ -237,6 +238,10 @@ class TestRun:
     ])
     def test_usage_error_is_a_located_config_error(self, tmp_path, capsys,
                                                    command, args, message):
+        # Only run, oracle and verify take --jobs; the other commands
+        # reject it as they reject any unknown flag.
+        if command in ("scaled", "trace-convert") and "--jobs" in args:
+            message = "unrecognized arguments: " + " ".join(args)
         doc = dict(BASE, oracle={"mode": "phi_opt"})
         cfg = write_config(tmp_path, doc)
         out = tmp_path / "out"
@@ -261,19 +266,23 @@ class TestRun:
                        ["content_hash"])
         assert len(hashes) == 1
 
-    def test_jobs_write_identical_trajectories(self, tmp_path):
+    def test_jobs_write_identical_trajectories(self, tmp_path, monkeypatch):
+        # Each worker checks and writes the books it makes: none is
+        # pickled back to the parent (the forked workers inherit this).
+        def no_pickle(self, protocol):
+            raise AssertionError("a book left the worker that made it")
+        monkeypatch.setattr(Trajectory, "__reduce_ex__", no_pickle)
         doc = dict(BASE, replications=4, horizon=300, write_trajectories=True,
                    verify=["dynamics", "queue_band"])
         cfg = write_config(tmp_path, doc)
-        for jobs in ("1", "3"):
+        for jobs in ("1", "2", "3"):
             assert main(["run", "--config", cfg, "--jobs", jobs,
                          "--out", str(tmp_path / jobs)]) == 0
-        for r in range(4):
-            name = f"trajectory_{r}.csv"
-            assert (tmp_path / "1" / name).read_bytes() \
-                == (tmp_path / "3" / name).read_bytes()
-        assert (tmp_path / "1" / "summary.json").read_bytes() \
-            == (tmp_path / "3" / "summary.json").read_bytes()
+        for name in [f"trajectory_{r}.csv" for r in range(4)] \
+                + ["summary.json"]:
+            for jobs in ("2", "3"):
+                assert (tmp_path / "1" / name).read_bytes() \
+                    == (tmp_path / jobs / name).read_bytes(), (name, jobs)
 
     def test_seed_override_changes_results(self, tmp_path):
         cfg = write_config(tmp_path, BASE)
@@ -720,8 +729,9 @@ class TestOracleSubcommand:
     def test_lookahead_pool_never_outnumbers_frames(self, tmp_path, capsys,
                                                     monkeypatch, rows, pools):
         # --jobs 3 forks one worker per frame at most, and none for one
-        # frame; psi is that of --jobs 1.  One slot holds no frame of 2:
-        # a config error at either --jobs, before any pool opens.
+        # frame, in the oracle and in thm3 under run and verify; each
+        # output is that of --jobs 1.  One slot holds no frame of 2: a
+        # config error at either --jobs, before any pool opens.
         import concurrent.futures
         opened = []
 
@@ -737,21 +747,37 @@ class TestOracleSubcommand:
             f"{t},{1 + t % 2}.00\n" for t in range(rows)))
         doc = dict(BASE, horizon=rows,
                    source={"kind": "trace", "path": str(trace)},
-                   oracle={"mode": "lookahead", "window": 2})
-        cfg = write_config(tmp_path, doc)
-        results = []
-        for jobs in ("1", "3"):
-            code = main(["oracle", "--config", cfg, "--jobs", jobs])
-            out, err = capsys.readouterr()
-            results.append((code, err) if code else
-                           (code, json.loads(out)["oracle"]["psi"]))
-        assert opened == pools
-        assert results[0] == results[1]
-        code, psi = results[0]
-        if rows < 2:
-            assert code == 5 and "/oracle/window" in psi, psi
-        else:
-            assert code == 0 and len(psi) == rows // 2
+                   oracle={"mode": "lookahead", "window": 2},
+                   options={"window": 2})
+        book = tmp_path / "book" / "trajectory_0.csv"
+        writer = write_config(tmp_path, dict(doc, write_trajectories=True),
+                              "book.json")
+        assert main(["run", "--config", writer, "--out", str(book.parent)]) \
+            == 0
+        thm3 = write_config(tmp_path, dict(doc, verify=["thm3"]), "thm3.json")
+        for argv, location in (
+                (["oracle", "--config", write_config(tmp_path, doc)],
+                 "/oracle/window"),
+                (["run", "--config", thm3], "/options/window"),
+                (["verify", "--config", thm3, "--trajectory", str(book)],
+                 "/options/window")):
+            opened.clear()
+            results = []
+            for jobs in ("1", "3"):
+                code = main([*argv, "--jobs", jobs])
+                out, err = capsys.readouterr()
+                results.append((code, err) if code else
+                               (code, json.loads(out)))
+            assert opened == pools, argv
+            assert results[0] == results[1], argv
+            code, got = results[0]
+            if rows < 2:
+                assert code == 5 and location in got, got
+            elif argv[0] == "oracle":
+                assert code == 0 and len(got["oracle"]["psi"]) == rows // 2
+            else:
+                assert code == 0 and got["reports"]["thm3"]["verdict"] \
+                    == "pass", got
 
     @pytest.mark.parametrize("horizon, window, slots", [(3, 4, 3), (2, 3, 2)])
     def test_window_longer_than_the_trace_is_located(self, tmp_path, capsys,
@@ -989,7 +1015,13 @@ class TestThm3:
             BASE, horizon=3, source={"kind": "trace", "path": str(trace)},
             verify=["dynamics", "thm3"], options={"window": 4}))
 
-    def test_run_shorter_than_a_window_is_located(self, tmp_path, capsys):
+    def test_run_shorter_than_a_window_is_located(self, tmp_path, capsys,
+                                                  monkeypatch):
+        # From the horizon, before any slot runs.
+        def no_run(*args, **kwargs):
+            raise AssertionError("a replication ran")
+        monkeypatch.setattr(cli, "run_profit", no_run)
+        monkeypatch.setattr(cli, "run_backtest", no_run)
         cfg = self._short_trace_config(tmp_path)
         assert main(["run", "--config", cfg]) == 5
         err = capsys.readouterr().err
