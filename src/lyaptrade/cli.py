@@ -3,10 +3,9 @@ scaled-wealth experiments from one JSON config.
 
 `run` and `verify` check a book along one path, `_deterministic_checks`,
 which reports a book that breaks the queue recursion as a dynamics
-failure alone.  `run` deals its replication blocks over `--jobs` worker
-processes by `_pool_map`; each block checks and writes its own books and
-hands back only totals and reports.  thm3 (but not inside a worker) and
-the lookahead oracle deal frames over `--jobs` by `_frame_lookaheads`.
+failure alone.  `_pool_map` deals `run`'s replication blocks and the
+lookahead oracle's frames over `--jobs` worker processes; each block
+checks and writes its own books and hands back only totals and reports.
 
 Exit codes: 0 all checks pass, 2 deterministic check failed,
 3 statistical check failed, 4 capacity exceeded, 5 config or usage error.
@@ -71,10 +70,9 @@ def _emit(bundle: dict, out_dir, name="summary.json"):
         print(text)
 
 
-def _run_block(cfg, spec, params, source, out_dir, jobs, reps):
-    """[(r, total cents, reports)] for the replications `reps`, all through
-    one solver so its slot memo spans the block.  Each book is checked and
-    written here, thm3's frames over `jobs` workers; none leaves."""
+def _run_block(cfg, spec, params, source, out_dir, reps):
+    """[(r, total cents, reports)] of the replications `reps`, each book
+    checked and written here; one solver's slot memo spans the block."""
     solver = SlotSolver(spec, params)
     checks = set(cfg.verify) & set(DETERMINISTIC_CHECKS)
     results = []
@@ -84,12 +82,13 @@ def _run_block(cfg, spec, params, source, out_dir, jobs, reps):
             results.append((r, run_profit(*args, solver=solver)[0], {}))
             continue
         traj = run_backtest(*args, solver=solver)
+        if r == reps[-1]:
+            del solver  # the last book's checks need no walk table
         results.append((r, traj.cumulative_profit(), _deterministic_checks(
-            cfg, spec, params, traj, r, jobs) if checks else {}))
+            cfg, spec, params, traj, r) if checks else {}))
         if cfg.write_trajectories:
             os.makedirs(out_dir, exist_ok=True)
-            with open(os.path.join(out_dir, f"trajectory_{r}.csv"),
-                      "w") as fh:
+            with open(os.path.join(out_dir, f"trajectory_{r}.csv"), "w") as fh:
                 traj.to_csv(fh)
     return results
 
@@ -104,19 +103,15 @@ def _pool_map(fn, items, jobs: int) -> list:
         return list(pool.map(fn, items))
 
 
-def _frame_lookaheads(spec, prices, T, jobs, who="thm3",
-                      held="the trajectory has {}", at="/options/window"):
-    """lookahead_psi of each whole frame of T slots of `prices`, in order,
-    dealt over `jobs` worker processes by `_pool_map`.  Prices that hold
-    no whole frame are a config error at `at`, before any work."""
-    if len(prices) < T:
+def _need_frame(n, T, at="/options/window", who="thm3",
+                held="the trajectory has {}"):
+    """A config error at `at` unless n slots hold one whole frame of T."""
+    if n < T:
         raise ConfigError(f"{who} needs at least one frame of {T} slots, "
-                          f"but {held.format(len(prices))}", location=at)
-    return _pool_map(functools.partial(lookahead_psi, spec), [
-        prices[t0:t0 + T] for t0 in range(0, len(prices) - T + 1, T)], jobs)
+                          f"but {held.format(n)}", location=at)
 
 
-def _deterministic_checks(cfg, spec, params, traj: Trajectory, rep, jobs=1):
+def _deterministic_checks(cfg, spec, params, traj: Trajectory, rep: int):
     """The configured checks of one book, over columns built once.  Every
     check assumes the queue recursion, so a book whose rows do not fit
     its market or break the recursion is a dynamics failure alone."""
@@ -153,26 +148,26 @@ def _deterministic_checks(cfg, spec, params, traj: Trajectory, rep, jobs=1):
             # decisions, sums to the bound; the first frame that fails
             # is the FAIL.
             T = cfg.window
-            frames = _frame_lookaheads(spec, traj.prices, T, jobs)
-            for m, frame in enumerate(frames):
-                lemma = verify_tslot_lemma(traj, frame.decisions, m * T, T)
+            _need_frame(traj.n_slots, T)
+            psi = []
+            for t0 in range(0, traj.n_slots - T + 1, T):
+                frame = lookahead_psi(spec, traj.prices[t0:t0 + T])
+                lemma = verify_tslot_lemma(traj, frame.decisions, t0, T)
                 if not lemma.ok:
                     reports[name] = BoundReport(
-                        FAIL, lemma.slack, {"rep": rep, "t0": m * T},
+                        FAIL, lemma.slack, {"rep": rep, "t0": t0},
                         {**lemma.detail, "check": "frame_lemma", "window": T})
                     break
+                psi.append(frame.psi_cents)
             else:
-                reports[name] = verify_thm3(
-                    traj, [f.psi_cents for f in frames], len(frames), T)
+                reports[name] = verify_thm3(traj, psi, len(psi), T)
     return reports
 
 
 def _check_statistical_config(cfg):
     """The config errors of thm1, thm2 and thm3, raised before any
-    replication runs; `_frame_lookaheads` raises and words thm3's."""
+    replication runs."""
     for name in cfg.verify:
-        if name == "thm3" and cfg.horizon < cfg.window:
-            _frame_lookaheads(None, range(cfg.horizon), cfg.window, 1)
         if name == "thm1" and cfg.source.kind != "iid":
             raise ConfigError("thm1 needs an iid source", location="/verify")
         if name == "thm2":
@@ -182,6 +177,8 @@ def _check_statistical_config(cfg):
             if cfg.horizon % cfg.window:
                 raise ConfigError("horizon must be a multiple of the window",
                                   location="/horizon")
+    if "thm3" in cfg.verify:
+        _need_frame(cfg.horizon, cfg.window)
 
 
 def _statistical_checks(cfg, spec, params, totals):
@@ -206,7 +203,8 @@ def _merge(reports_by_rep):
     merged = {}
     for reports in reports_by_rep:
         for name, rep in reports.items():
-            merged[name] = merged[name].merge(rep) if name in merged else rep
+            merged[name] = rep if name not in merged \
+                else merged[name].merge(rep)
     return merged
 
 
@@ -235,8 +233,7 @@ def cmd_run(cfg: ExperimentConfig, out_dir, jobs: int) -> int:
     blocks = [reps[i::jobs] for i in range(min(jobs, len(reps)))]
     if len(blocks) > 1 and cfg.source.kind != "trace":
         import numpy  # noqa: F401  (once here, so forked workers inherit it)
-    worker = functools.partial(_run_block, cfg, spec, params, source, out_dir,
-                               jobs if len(blocks) == 1 else 1)
+    worker = functools.partial(_run_block, cfg, spec, params, source, out_dir)
     results = sorted((item for block in _pool_map(worker, blocks, jobs)
                       for item in block), key=lambda item: item[0])
     totals = [total for _, total, _ in results]
@@ -289,9 +286,12 @@ def cmd_oracle(cfg: ExperimentConfig, out_dir, jobs: int) -> int:
             raise ConfigError("lookahead oracle needs a trace source",
                               location="/oracle")
         T = int(cfg.oracle.get("window", 4))
-        values = _frame_lookaheads(
-            spec, source.sequence[:cfg.horizon], T, jobs, "the lookahead",
-            "the trace has {} within the horizon", "/oracle/window")
+        prices = source.sequence[:cfg.horizon]
+        _need_frame(len(prices), T, "/oracle/window", "the lookahead",
+                    "the trace has {} within the horizon")
+        values = _pool_map(functools.partial(lookahead_psi, spec), [
+            prices[t0:t0 + T] for t0 in range(0, len(prices) - T + 1, T)],
+            jobs)
         body = {"oracle": {"mode": "lookahead", "window": T,
                            "psi": [cents_to_str(v.psi_cents) for v in values],
                            "psi_total": cents_to_str(
@@ -303,7 +303,7 @@ def cmd_oracle(cfg: ExperimentConfig, out_dir, jobs: int) -> int:
     return EXIT_OK
 
 
-def cmd_verify(cfg: ExperimentConfig, trajectory_path, out_dir, jobs) -> int:
+def cmd_verify(cfg: ExperimentConfig, trajectory_path, out_dir) -> int:
     bad = set(cfg.verify) & set(STATISTICAL_CHECKS)
     if bad:
         raise ConfigError(f"{sorted(bad)} need a replication ensemble; "
@@ -313,7 +313,7 @@ def cmd_verify(cfg: ExperimentConfig, trajectory_path, out_dir, jobs) -> int:
     _, spec, params = _resolved(cfg)
     with open_input(trajectory_path, "--trajectory") as fh:
         traj = Trajectory.from_csv(fh, spec, params)
-    reports = _deterministic_checks(cfg, spec, params, traj, 0, jobs)
+    reports = _deterministic_checks(cfg, spec, params, traj, 0)
     body = {"reports": {k: v.to_json() for k, v in reports.items()}}
     _emit(_bundle(cfg, body), out_dir)
     return _exit_for(reports)
@@ -393,7 +393,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--seed", type=int, default=None,
                        help="override the config seed")
         p.add_argument("--out", default=None, help="output directory")
-        if name in ("run", "oracle", "verify"):
+        if name in ("run", "oracle"):
             p.add_argument("--jobs", type=int, default=1,
                            help="parallel worker processes")
         if name == "verify":
@@ -422,7 +422,7 @@ def main(argv=None) -> int:
         if args.command == "oracle":
             return cmd_oracle(cfg, args.out, args.jobs)
         if args.command == "verify":
-            return cmd_verify(cfg, args.trajectory, args.out, args.jobs)
+            return cmd_verify(cfg, args.trajectory, args.out)
         if args.command == "scaled":
             return cmd_scaled(cfg, args.out)
         if args.command == "trace-convert":

@@ -238,9 +238,9 @@ class TestRun:
     ])
     def test_usage_error_is_a_located_config_error(self, tmp_path, capsys,
                                                    command, args, message):
-        # Only run, oracle and verify take --jobs; the other commands
-        # reject it as they reject any unknown flag.
-        if command in ("scaled", "trace-convert") and "--jobs" in args:
+        # Only run and oracle take --jobs; the other commands reject it
+        # as they reject any unknown flag.
+        if command not in ("run", "oracle") and "--jobs" in args:
             message = "unrecognized arguments: " + " ".join(args)
         doc = dict(BASE, oracle={"mode": "phi_opt"})
         cfg = write_config(tmp_path, doc)
@@ -728,10 +728,10 @@ class TestOracleSubcommand:
     @pytest.mark.parametrize("rows, pools", [(1, []), (2, []), (4, [2])])
     def test_lookahead_pool_never_outnumbers_frames(self, tmp_path, capsys,
                                                     monkeypatch, rows, pools):
-        # --jobs 3 forks one worker per frame at most, and none for one
-        # frame, in the oracle and in thm3 under run and verify; each
-        # output is that of --jobs 1.  One slot holds no frame of 2: a
-        # config error at either --jobs, before any pool opens.
+        # The oracle at --jobs 3 forks one worker per frame at most, and
+        # none for one frame; thm3 under a one-block run or verify forks
+        # none.  Each output is that of --jobs 1.  One slot holds no
+        # frame of 2: a config error at either --jobs, before any pool.
         import concurrent.futures
         opened = []
 
@@ -755,21 +755,22 @@ class TestOracleSubcommand:
         assert main(["run", "--config", writer, "--out", str(book.parent)]) \
             == 0
         thm3 = write_config(tmp_path, dict(doc, verify=["thm3"]), "thm3.json")
-        for argv, location in (
+        jobs = (["--jobs", "1"], ["--jobs", "3"])
+        for argv, location, forks, flags in (
                 (["oracle", "--config", write_config(tmp_path, doc)],
-                 "/oracle/window"),
-                (["run", "--config", thm3], "/options/window"),
+                 "/oracle/window", pools, jobs),
+                (["run", "--config", thm3], "/options/window", [], jobs),
                 (["verify", "--config", thm3, "--trajectory", str(book)],
-                 "/options/window")):
+                 "/options/window", [], ([],))):
             opened.clear()
             results = []
-            for jobs in ("1", "3"):
-                code = main([*argv, "--jobs", jobs])
+            for flag in flags:
+                code = main([*argv, *flag])
                 out, err = capsys.readouterr()
                 results.append((code, err) if code else
                                (code, json.loads(out)))
-            assert opened == pools, argv
-            assert results[0] == results[1], argv
+            assert opened == forks, argv
+            assert results[0] == results[-1], argv
             code, got = results[0]
             if rows < 2:
                 assert code == 5 and location in got, got

@@ -29,7 +29,7 @@ from lyaptrade.analysis import (FAIL, PASS, BoundReport, _check_alternative,
                                 check_frame_drift,
                                 verify_queue_band, verify_slot_optimality,
                                 verify_thm3, verify_tslot_lemma)
-from lyaptrade.errors import LyaptradeError, StructuralError
+from lyaptrade.errors import CapacityError, LyaptradeError, StructuralError
 from lyaptrade.market import TradeDecision
 from lyaptrade.money import cents_to_units
 from lyaptrade.oracles import (DEFAULT_ENUM_CAP, _feasible,
@@ -692,3 +692,25 @@ def test_in_cap_book_breaking_the_lemma_fails_thm3_at_its_frame(tmp_path):
     assert reports["thm3"]["locus"] == {"rep": 0, "t0": 4}
     assert reports["thm3"]["detail"] == {"check": "frame_lemma", "window": 4}
     assert reports["thm3"]["slack"] < 0
+
+
+def test_thm3_fails_at_its_frame_before_a_later_frame_is_solved(
+        tmp_path, monkeypatch):
+    # Slot 2 sells stock 0 at $0.50 instead of buying it, so frame 0
+    # fails the lemma.  Frame 4's lookahead would hit a capacity cap, but
+    # thm3 stops at the first failing frame and never solves it.
+    solved = []
+
+    def capped(spec, prices):
+        if solved:
+            raise CapacityError("a frame after the failing one was solved")
+        solved.append(prices)
+        return lookahead_psi(spec, prices)
+
+    monkeypatch.setattr(cli, "lookahead_psi", capped)
+    code, reports = _verify(tmp_path, "50", {(2, 3): 0, (2, 5): 1},
+                            ["dynamics", "thm3"])
+    assert code == 2, reports
+    assert reports["thm3"]["locus"] == {"rep": 0, "t0": 0}
+    assert reports["thm3"]["detail"] == {"check": "frame_lemma", "window": 4}
+    assert len(solved) == 1
