@@ -252,14 +252,13 @@ def verify_tslot_lemma(traj: Trajectory, alt_sequence, t0: int,
                        (t0, T), {"check": "frame_drift_bound"})
 
 
-def verify_thm3(traj: Trajectory, psi_cents, M: int, window: int) -> BoundReport:
+def verify_thm3(traj: Trajectory, psi_cents, window: int) -> BoundReport:
     """Deterministic frame-lookahead profit bound, exact in cents.
 
-    psi_cents: per-frame optimal lookahead profits on the same trace."""
+    psi_cents: optimal lookahead profits of the first len(psi_cents)
+    frames of the same trace."""
     spec, params = traj.spec, traj.params
-    T = window
-    if len(psi_cents) != M:
-        raise StructuralError("need one lookahead value per frame")
+    T, M = window, len(psi_cents)
     if traj.n_slots < M * T:
         raise StructuralError("trajectory shorter than the framed horizon")
     theta = params.resolved_theta(spec)

@@ -103,12 +103,13 @@ def _pool_map(fn, items, jobs: int) -> list:
         return list(pool.map(fn, items))
 
 
-def _need_frame(n, T, at="/options/window", who="thm3",
-                held="the trajectory has {}"):
-    """A config error at `at` unless n slots hold one whole frame of T."""
+def _need_frame(n, T) -> range:
+    """The starts of the whole frames of T in n slots; a config error at
+    options.window when there is none."""
     if n < T:
-        raise ConfigError(f"{who} needs at least one frame of {T} slots, "
-                          f"but {held.format(n)}", location=at)
+        raise ConfigError(f"needs at least one frame of {T} slots, but the "
+                          f"trajectory has {n}", location="/options/window")
+    return range(0, n - T + 1, T)
 
 
 def _deterministic_checks(cfg, spec, params, traj: Trajectory, rep: int):
@@ -138,9 +139,8 @@ def _deterministic_checks(cfg, spec, params, traj: Trajectory, rep: int):
                 (t, d) for t in slots for d in (brute_force_slot_min(
                     params, spec, traj.prices[t], traj.queue_at(t)), zero)])
         elif name == "frame_drift":
-            T = cfg.window
-            t0 = check_frame_drift(traj, T, columns)
-            detail = {"check": "frame_drift", "window": T}
+            t0 = check_frame_drift(traj, cfg.window, columns)
+            detail = {"check": "frame_drift", "window": cfg.window}
             reports[name] = BoundReport(PASS, 0.0, rep, detail) if t0 is None \
                 else BoundReport(FAIL, -1.0, {"rep": rep, "t0": t0}, detail)
         elif name == "thm3":
@@ -148,9 +148,8 @@ def _deterministic_checks(cfg, spec, params, traj: Trajectory, rep: int):
             # decisions, sums to the bound; the first frame that fails
             # is the FAIL.
             T = cfg.window
-            _need_frame(traj.n_slots, T)
             psi = []
-            for t0 in range(0, traj.n_slots - T + 1, T):
+            for t0 in _need_frame(traj.n_slots, T):
                 frame = lookahead_psi(spec, traj.prices[t0:t0 + T])
                 lemma = verify_tslot_lemma(traj, frame.decisions, t0, T)
                 if not lemma.ok:
@@ -160,7 +159,7 @@ def _deterministic_checks(cfg, spec, params, traj: Trajectory, rep: int):
                     break
                 psi.append(frame.psi_cents)
             else:
-                reports[name] = verify_thm3(traj, psi, len(psi), T)
+                reports[name] = verify_thm3(traj, psi, T)
     return reports
 
 
@@ -189,10 +188,9 @@ def _statistical_checks(cfg, spec, params, totals):
             reports[name] = verify_thm1_profit(totals, cfg.horizon, spec,
                                                params, phi)
         elif name == "thm2":
-            T = cfg.window
-            model = cfg.source.model
-            sol = solve_phi_opt(spec, stationary_distribution(model))
-            sol = drift_rebalance(sol)
+            T, model = cfg.window, cfg.source.model
+            sol = drift_rebalance(solve_phi_opt(
+                spec, stationary_distribution(model)))
             eps = measure_memory_epsilon(model, sol, T)
             reports[name] = verify_thm2_profit(totals, cfg.horizon // T, T,
                                                eps, spec, params, sol.phi_opt)
@@ -285,13 +283,10 @@ def cmd_oracle(cfg: ExperimentConfig, out_dir, jobs: int) -> int:
         if cfg.source.kind != "trace":
             raise ConfigError("lookahead oracle needs a trace source",
                               location="/oracle")
-        T = int(cfg.oracle.get("window", 4))
+        T = cfg.window
         prices = source.sequence[:cfg.horizon]
-        _need_frame(len(prices), T, "/oracle/window", "the lookahead",
-                    "the trace has {} within the horizon")
         values = _pool_map(functools.partial(lookahead_psi, spec), [
-            prices[t0:t0 + T] for t0 in range(0, len(prices) - T + 1, T)],
-            jobs)
+            prices[t0:t0 + T] for t0 in _need_frame(len(prices), T)], jobs)
         body = {"oracle": {"mode": "lookahead", "window": T,
                            "psi": [cents_to_str(v.psi_cents) for v in values],
                            "psi_total": cents_to_str(
@@ -321,14 +316,18 @@ def cmd_verify(cfg: ExperimentConfig, trajectory_path, out_dir) -> int:
 
 def cmd_scaled(cfg: ExperimentConfig, out_dir) -> int:
     source, spec, params = _resolved(cfg)
-    sc = cfg.scaled
+    sc, frame = cfg.scaled, cfg.window
     beta = sc.get("beta", 0)
-    frame = int(sc.get("frame", 4))
     frames_per_window = int(sc.get("frames_per_window",
-                                   cfg.horizon // max(frame, 1) or 1))
-    windows = int(sc.get("windows", 1))
-    results = scaled_windows_run(spec, params, beta, frame,
-                                 frames_per_window, windows, source,
+                                   cfg.horizon // frame or 1))
+    tables = [s for s in spec.stocks
+              if "table" in (s.buy_cost.kind, s.sell_cost.kind)]
+    if tables and Fraction(str(beta)):
+        raise ConfigError(f"a positive beta grows stock {tables[0].index}'s "
+                          f"trade cap past the {tables[0].mu_max} shares its "
+                          "table cost covers", location="/scaled/beta")
+    results = scaled_windows_run(spec, params, beta, frame, frames_per_window,
+                                 int(sc.get("windows", 1)), source,
                                  seed=cfg.seed)
     W = frame * frames_per_window
     rows = []

@@ -22,10 +22,17 @@ DETERMINISTIC_CHECKS = ("dynamics", "queue_band", "slot_optimality",
                         "frame_drift", "thm3")
 STATISTICAL_CHECKS = ("thm1", "thm2")
 KNOWN_CHECKS = DETERMINISTIC_CHECKS + STATISTICAL_CHECKS
-# Integer entries of the free-form sections: (section, key, least value).
-INTEGER_OPTIONS = (("options", "window", 1), ("options", "optimality_slots", 0),
-                   ("oracle", "window", 1), ("scaled", "frame", 1),
-                   ("scaled", "frames_per_window", 1), ("scaled", "windows", 1))
+# The keys a config accepts, by section ("" is the top level), each with
+# its least value: an int for an integer key, a Fraction for a number,
+# None for any other.  options.window is the one frame length T.
+INTEGER_OPTIONS = {
+    "": {"market": None, "trader": None, "source": None, "horizon": 1,
+         "seed": 0, "replications": 1, "verify": None, "oracle": None,
+         "scaled": None, "options": None, "write_trajectories": None},
+    "options": {"window": 1, "optimality_slots": 0},
+    "oracle": {"mode": None},
+    "scaled": {"beta": Fraction(0), "frames_per_window": 1, "windows": 1},
+}
 
 
 @dataclass(frozen=True)
@@ -62,19 +69,15 @@ class ExperimentConfig:
     write_trajectories: bool = False
 
     def __post_init__(self):
-        ints = [("horizon", self.horizon, 1), ("seed", self.seed, 0),
-                ("replications", self.replications, 1)]
-        ints += [(f"{section}/{key}", getattr(self, section)[key], least)
-                 for section, key, least in INTEGER_OPTIONS
-                 if key in getattr(self, section)]
-        for name, value, least in ints:
-            if _integer(value, f"/{name}") < least:
-                raise ConfigError(f"{name} must be >= {least}",
-                                  location=f"/{name}")
-        if "beta" in self.scaled and \
-                _rational(self.scaled["beta"], "/scaled/beta") < 0:
-            raise ConfigError("scaled/beta must be >= 0",
-                              location="/scaled/beta")
+        for section, keys in INTEGER_OPTIONS.items():
+            values = getattr(self, section) if section else vars(self)
+            for key, least in keys.items():
+                name = f"{section}/{key}".lstrip("/")
+                read = _rational if type(least) is Fraction else _integer
+                if least is not None and key in values and \
+                        read(values[key], f"/{name}") < least:
+                    raise ConfigError(f"{name} must be >= {least}",
+                                      location=f"/{name}")
         for name in self.verify:
             if name not in KNOWN_CHECKS:
                 raise ConfigError(f"unknown check {name!r} "
@@ -83,7 +86,8 @@ class ExperimentConfig:
 
     @property
     def window(self) -> int:
-        """The frame length T of frame_drift, thm3 and thm2."""
+        """The frame length T of frame_drift, thm2, thm3, the lookahead
+        oracle and the scaled run's frames."""
         return int(self.options.get("window", 4))
 
 
@@ -114,6 +118,13 @@ def _transition_row(row, where) -> tuple:
     return row
 
 
+def _list(obj, key) -> list:
+    """obj[key], a config error at /source/<key> unless it is a list."""
+    if not isinstance(value := obj[key], list):
+        raise ConfigError(f"{value!r} is not a list", location=f"/source/{key}")
+    return value
+
+
 def _parse_source(obj) -> SourceConfig:
     if not isinstance(obj, dict) or "kind" not in obj:
         raise ConfigError("source needs a 'kind' field", location="/source")
@@ -121,16 +132,16 @@ def _parse_source(obj) -> SourceConfig:
     try:
         if kind == "iid":
             support = tuple(_price_vector(v, "/source/support")
-                            for v in obj["support"])
+                            for v in _list(obj, "support"))
             probs = tuple(_rational(p, f"/source/probs/{i}")
-                          for i, p in enumerate(obj["probs"]))
+                          for i, p in enumerate(_list(obj, "probs")))
             return SourceConfig("iid", dist=PriceDistribution(support, probs))
         if kind == "markov":
             states = tuple(_price_vector(v, "/source/states")
-                           for v in obj["states"])
+                           for v in _list(obj, "states"))
             model = MarkovPriceModel(states, tuple(
                 _transition_row(row, f"/source/transition/{i}")
-                for i, row in enumerate(obj["transition"])))
+                for i, row in enumerate(_list(obj, "transition"))))
             return SourceConfig("markov", model=model)
         if kind == "trace":
             policy = obj.get("cap_policy", "reject")
@@ -151,6 +162,8 @@ def _boolean(x, where) -> bool:
 
 
 def _parse_trader(obj) -> TraderParams:
+    if not isinstance(obj, dict):
+        raise ConfigError("must be an object", location="/trader")
     if "V" not in obj:
         raise ConfigError("trader needs V", location="/trader/V")
     placeholder = _boolean(obj.get("placeholder", False),
@@ -184,6 +197,19 @@ def load_config(path) -> ExperimentConfig:
 
 
 def config_from_json(doc) -> ExperimentConfig:
+    # The document and its sections are objects of the keys in the table.
+    for section, keys in INTEGER_OPTIONS.items():
+        where = f"/{section}" if section else ""
+        obj = doc.get(section, {}) if section else doc
+        if not isinstance(obj, dict):
+            raise ConfigError("must be an object", location=where or "/")
+        for key in obj:
+            if key not in keys:
+                raise ConfigError(
+                    f"unknown key {key!r} (known: {', '.join(keys)})"
+                    + ("; the frame length T is options.window"
+                       if key in ("window", "frame") else ""),
+                    location=f"{where}/{key}")
     for key in ("market", "trader", "source", "horizon"):
         if key not in doc:
             raise ConfigError(f"missing top-level field {key!r}",
@@ -200,20 +226,16 @@ def config_from_json(doc) -> ExperimentConfig:
                               f"{market.n_stocks} stocks",
                               location=f"/trader/{name}")
     source = _parse_source(doc["source"])
+    if not isinstance(doc.get("verify", []), list):
+        raise ConfigError("must be a list of check names", location="/verify")
     return ExperimentConfig(
-        market=market,
-        trader=trader,
-        source=source,
-        horizon=_integer(doc["horizon"], "/horizon"),
-        seed=_integer(doc["seed"], "/seed"),
-        replications=_integer(doc.get("replications", 1), "/replications"),
+        market, trader, source,
+        **{k: _integer(doc.get(k, 1), f"/{k}")
+           for k in ("horizon", "seed", "replications")},
         verify=tuple(doc.get("verify", ())),
-        oracle=dict(doc.get("oracle", {})),
-        scaled=dict(doc.get("scaled", {})),
-        options=dict(doc.get("options", {})),
+        **{k: dict(doc.get(k, {})) for k in ("oracle", "scaled", "options")},
         write_trajectories=_boolean(doc.get("write_trajectories", False),
-                                    "/write_trajectories"),
-    )
+                                    "/write_trajectories"))
 
 
 def config_to_json(cfg: ExperimentConfig) -> dict:
@@ -250,10 +272,6 @@ def config_to_json(cfg: ExperimentConfig) -> dict:
         "verify": list(cfg.verify),
         "write_trajectories": cfg.write_trajectories,
     }
-    if cfg.oracle:
-        out["oracle"] = cfg.oracle
-    if cfg.scaled:
-        out["scaled"] = cfg.scaled
-    if cfg.options:
-        out["options"] = cfg.options
+    out.update((k, getattr(cfg, k)) for k in ("oracle", "scaled", "options")
+               if getattr(cfg, k))
     return out

@@ -81,8 +81,6 @@ class CostFunction:
 
     @staticmethod
     def from_json(obj) -> "CostFunction":
-        if obj is None:
-            return CostFunction()
         kind = obj.get("kind", "zero")
         declared = obj.get("max")
         declared = None if declared is None else to_cents(declared, what="cost max")
@@ -225,27 +223,13 @@ class MarketSpec:
     @staticmethod
     def from_json(obj) -> "MarketSpec":
         try:
-            stocks = []
-            for i, s in enumerate(obj["stocks"]):
-                stocks.append(StockSpec(
-                    index=i,
-                    mu_max=_integer(s["mu_max"], f"/market/stocks/{i}/mu_max"),
-                    p_max=to_cents(s["p_max"], what=f"stocks[{i}].p_max"),
-                    buy_cost=CostFunction.from_json(s.get("buy_cost")),
-                    sell_cost=CostFunction.from_json(s.get("sell_cost")),
-                ))
-            b = obj.get("budget", {"mode": "none"})
-            mode = b.get("mode", "none")
-            if mode == "money":
-                budget = BudgetMode("money", money=to_cents(b["value"], what="budget.value"))
-            elif mode == "shares":
-                budget = BudgetMode("shares", shares=_integer(
-                    b["value"], "/market/budget/value"))
-            else:
-                budget = BudgetMode("none")
+            stocks = tuple(_located(f"/market/stocks/{i}", _stock_from_json,
+                                    s, i) for i, s in enumerate(obj["stocks"]))
+            budget = _located("/market/budget", _budget_from_json,
+                              obj.get("budget", {"mode": "none"}))
         except (KeyError, TypeError, ValueError, ParseError) as exc:
             raise ConfigError(str(exc), location="/market") from exc
-        return MarketSpec(tuple(stocks), budget)
+        return MarketSpec(stocks, budget)
 
     def to_json(self):
         from .money import cents_to_str
@@ -262,6 +246,44 @@ class MarketSpec:
         elif self.budget.mode == "shares":
             out["budget"]["value"] = self.budget.shares
         return out
+
+
+def _located(where, build, obj, *args):
+    """build(obj, *args); a non-object `obj`, a missing field or an
+    unlocated ConfigError is a ConfigError at `where`."""
+    try:
+        if not isinstance(obj, dict):
+            raise ConfigError(f"{obj!r} is not an object")
+        return build(obj, *args)
+    except KeyError as exc:
+        raise ConfigError(f"missing field {exc}", location=where) from exc
+    except ConfigError as exc:
+        if exc.location:
+            raise
+        raise ConfigError(str(exc), location=where) from exc
+
+
+def _stock_from_json(s, i) -> StockSpec:
+    where = f"/market/stocks/{i}"
+    costs = {side: CostFunction() if s.get(side) is None else _located(
+        f"{where}/{side}", CostFunction.from_json, s[side])
+        for side in ("buy_cost", "sell_cost")}
+    return StockSpec(i, _integer(s["mu_max"], f"{where}/mu_max"),
+                     to_cents(s["p_max"], what=f"stocks[{i}].p_max"), **costs)
+
+
+def _budget_from_json(b) -> BudgetMode:
+    mode = b.get("mode", "none")
+    if mode == "money":
+        return BudgetMode("money", money=to_cents(b["value"],
+                                                  what="budget.value"))
+    if mode == "shares":
+        return BudgetMode("shares", shares=_integer(
+            b["value"], "/market/budget/value"))
+    if mode != "none":
+        raise ConfigError(f"unknown budget mode {mode!r} (known: money, "
+                          "shares, none)", location="/market/budget/mode")
+    return BudgetMode("none")
 
 
 @dataclass(frozen=True)

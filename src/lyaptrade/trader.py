@@ -82,6 +82,10 @@ class TraderParams:
             object.__setattr__(self, "initial_queue",
                                tuple(_integer(q, f"/trader/initial_queue/{i}")
                                      for i, q in enumerate(self.initial_queue)))
+            for i, q in enumerate(self.initial_queue):
+                if q < 0:
+                    raise ConfigError(f"holds {q} shares; must be >= 0",
+                                      location=f"/trader/initial_queue/{i}")
         if self.V <= 0:
             raise ConfigError("V must be positive", location="/trader/V")
         if self.buy_solver not in ("exact", "greedy"):

@@ -125,7 +125,7 @@ def test_ac4_lookahead_profit_bound():
                .psi_cents for k in range(M)]
         for V in (10, 100):
             traj = run_backtest(spec, TraderParams(V=V), trace, M * T)
-            rep = verify_thm3(traj, psi, M, T)
+            rep = verify_thm3(traj, psi, T)
             assert rep.ok, rep.to_json()
     report("AC-4 frame-lookahead bound, 20 traces x V in {10,100}", True)
 

@@ -196,14 +196,14 @@ class TestThm3:
             traj = run_backtest(spec, TraderParams(V=V), trace, 100)
             psi = [lookahead_psi(spec, trace.sequence[m * 4:(m + 1) * 4]).psi_cents
                    for m in range(25)]
-            assert verify_thm3(traj, psi, 25, 4).verdict == PASS
+            assert verify_thm3(traj, psi, 4).verdict == PASS
 
     def test_degenerate_frame(self):
         spec = one_stock_spec()
         traj = run_backtest(spec, TraderParams(V=10), uniform_two_price(),
                             1, seed=1)
         psi = [lookahead_psi(spec, traj.prices[:1]).psi_cents]
-        assert verify_thm3(traj, psi, 1, 1).verdict == PASS
+        assert verify_thm3(traj, psi, 1).verdict == PASS
 
     def test_v_sweep_trend(self, rng):
         # the lookahead penalty D*T/V tightens as V grows; the initial-queue
@@ -217,7 +217,7 @@ class TestThm3:
         penalties = []
         for V in (10, 50, 250):
             traj = run_backtest(spec, TraderParams(V=V), trace, 100)
-            assert verify_thm3(traj, psi, 25, 4).verdict == PASS
+            assert verify_thm3(traj, psi, 4).verdict == PASS
             penalties.append(D * 4 / V)
         assert penalties[0] > penalties[1] > penalties[2]
 

@@ -79,8 +79,8 @@ def test_trace_run_at_one_job_loads_neither(tmp_path):
 
 
 def test_lookahead_oracle_loads_neither(tmp_path):
-    config = trace_config(tmp_path, oracle={"mode": "lookahead",
-                                            "window": 4})
+    config = trace_config(tmp_path, oracle={"mode": "lookahead"},
+                          options={"window": 4})
     out = loaded_after(tmp_path, cli_main("oracle", "--config", config,
                                           "--out", "out"))
     assert out["code"] == 0

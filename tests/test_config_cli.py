@@ -114,6 +114,16 @@ class TestConfig:
         ({"trader": {"V": "50", "placeholder": "false"}},
          "/trader/placeholder"),
         ({"write_trajectories": "no"}, "/write_trajectories"),
+        ({"market": {"stocks": [{"mu_max": 1, "p_max": "2.00",
+                                 "buy_cost": 3}]}},
+         "/market/stocks/0/buy_cost"),
+        ({"source": dict(MARKOV, transition=1)}, "/source/transition"),
+        ({"oracle": 3}, "/oracle"),
+        ({"options": [1]}, "/options"),
+        ({"trader": {"V": "50", "initial_queue": [-3]}},
+         "/trader/initial_queue/0"),
+        ({"verify": 3}, "/verify"),
+        ({"trader": 3}, "/trader"),
     ], ids=["probs-entry", "row-not-list", "row-sum", "horizon", "seed",
             "replications", "window", "window-zero", "optimality-slots",
             "oracle-window", "scaled-frame", "horizon-fractional",
@@ -122,12 +132,76 @@ class TestConfig:
             "share-budget-fractional", "initial-queue-fractional",
             "initial-queue-long", "initial-queue-short", "theta-length",
             "buy-solver-unknown", "v-not-positive",
-            "placeholder-string", "write-trajectories-string"])
+            "placeholder-string", "write-trajectories-string",
+            "cost-not-an-object", "transition-not-a-list",
+            "oracle-not-an-object", "options-not-an-object",
+            "initial-queue-negative", "verify-not-a-list",
+            "trader-not-an-object"])
     def test_bad_field_located(self, tmp_path, capsys, change, location):
         doc = dict(BASE, **change)
         assert main(["run", "--config", write_config(tmp_path, doc)]) == 5
         err = capsys.readouterr().err
         assert err.startswith(f"config: {location}: ")
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("command, change, location", [
+        ("oracle", {"oracle": {"mode": "phi_opt", "window": 2}},
+         "/oracle/window"),
+        ("scaled", {"scaled": {"beta": 0, "frame": 4}}, "/scaled/frame"),
+        ("run", {"options": {"windw": 8}}, "/options/windw"),
+        ("run", {"verfy": ["dynamics"]}, "/verfy"),
+        ("run", {"options": {"window": 2}, "window": 2}, "/window"),
+    ])
+    def test_unknown_key_located(self, tmp_path, capsys, command, change,
+                                 location):
+        # Only the keys INTEGER_OPTIONS names are read; a typo or a removed
+        # frame length is an error at its own pointer, not ignored.
+        doc = dict(BASE, **change)
+        assert main([command, "--config", write_config(tmp_path, doc)]) == 5
+        err = capsys.readouterr().err
+        assert err.startswith(f"config: {location}: unknown key "), err
+        assert "Traceback" not in err
+        if location.endswith(("/window", "/frame")):
+            assert "the frame length T is options.window" in err, err
+
+    @pytest.mark.parametrize("market, location", [
+        ({"budget": {"mode": "moneyy", "value": "4.00"}},
+         "/market/budget/mode"),
+        ({"budget": {"mode": "money", "value": "0.00"}}, "/market/budget"),
+        ({"budget": {"mode": "shares", "value": 0}}, "/market/budget"),
+        ({"stocks": [{"mu_max": 1, "p_max": "2.00"},
+                     {"mu_max": 2, "p_max": "2.00", "buy_cost": {
+                         "kind": "table", "values": ["0", "0.05"]}}]},
+         "/market/stocks/1"),
+        ({"stocks": [{"mu_max": 1, "p_max": "2.00",
+                      "sell_cost": {"kind": "quadratic"}}]},
+         "/market/stocks/0/sell_cost"),
+        ({"stocks": [{"mu_max": 1, "p_max": "2.00",
+                      "buy_cost": {"kind": "linear", "rate": "-0.01"}}]},
+         "/market/stocks/0/buy_cost"),
+        ({"stocks": [{"mu_max": 1, "p_max": "2.00",
+                      "buy_cost": {"kind": "linear"}}]},
+         "/market/stocks/0/buy_cost"),
+        ({"stocks": [{"mu_max": 1, "p_max": "2.00", "buy_cost": {
+            "kind": "fixed", "fee": "0.50", "max": "0.10"}}]},
+         "/market/stocks/0"),
+        ({"stocks": [{"p_max": "2.00"}]}, "/market/stocks/0"),
+        ({"stocks": [{"mu_max": 0, "p_max": "2.00"}]}, "/market/stocks/0"),
+        ({"stocks": [3]}, "/market/stocks/0"),
+        ({"budget": 3}, "/market/budget"),
+    ], ids=["budget-mode-typo", "money-budget-zero", "share-budget-zero",
+            "table-cost-length", "cost-kind-unknown", "cost-rate-negative",
+            "cost-rate-missing", "cost-over-declared-max", "mu-max-missing",
+            "mu-max-zero", "stock-not-an-object", "budget-not-an-object"])
+    def test_market_error_names_its_field(self, tmp_path, capsys, market,
+                                          location):
+        market = dict(BASE["market"], **market)
+        doc = dict(BASE, market=market, source={
+            "kind": "iid", "probs": [1],
+            "support": [["1.00"] * len(market["stocks"])]})
+        assert main(["run", "--config", write_config(tmp_path, doc)]) == 5
+        err = capsys.readouterr().err
+        assert err.startswith(f"config: {location}: "), err
         assert "Traceback" not in err
 
     @pytest.mark.parametrize("value", NON_FINITE)
@@ -719,7 +793,7 @@ class TestOracleSubcommand:
         trace.write_text("slot,p_1\n0,1.00\n1,2.00\n2,2.00\n3,1.00\n")
         doc = dict(BASE, horizon=4,
                    source={"kind": "trace", "path": str(trace)},
-                   oracle={"mode": "lookahead", "window": 2})
+                   oracle={"mode": "lookahead"}, options={"window": 2})
         assert main(["oracle", "--config", write_config(tmp_path, doc)]) == 0
         out = json.loads(capsys.readouterr().out)
         # second frame shorts at 2.00 and covers at 1.00
@@ -747,8 +821,7 @@ class TestOracleSubcommand:
             f"{t},{1 + t % 2}.00\n" for t in range(rows)))
         doc = dict(BASE, horizon=rows,
                    source={"kind": "trace", "path": str(trace)},
-                   oracle={"mode": "lookahead", "window": 2},
-                   options={"window": 2})
+                   oracle={"mode": "lookahead"}, options={"window": 2})
         book = tmp_path / "book" / "trajectory_0.csv"
         writer = write_config(tmp_path, dict(doc, write_trajectories=True),
                               "book.json")
@@ -758,7 +831,7 @@ class TestOracleSubcommand:
         jobs = (["--jobs", "1"], ["--jobs", "3"])
         for argv, location, forks, flags in (
                 (["oracle", "--config", write_config(tmp_path, doc)],
-                 "/oracle/window", pools, jobs),
+                 "/options/window", pools, jobs),
                 (["run", "--config", thm3], "/options/window", [], jobs),
                 (["verify", "--config", thm3, "--trajectory", str(book)],
                  "/options/window", [], ([],))):
@@ -784,34 +857,68 @@ class TestOracleSubcommand:
     def test_window_longer_than_the_trace_is_located(self, tmp_path, capsys,
                                                      horizon, window, slots):
         # No whole frame within the horizon is a located config error,
-        # as it is for thm3 under `run`, not an empty psi.
+        # in thm3's words under `run`, not an empty psi.
         trace = tmp_path / "trace.csv"
         trace.write_text("slot,p_1\n0,1.00\n1,2.00\n2,1.00\n")
         doc = dict(BASE, horizon=horizon,
                    source={"kind": "trace", "path": str(trace)},
-                   oracle={"mode": "lookahead", "window": window})
+                   oracle={"mode": "lookahead"}, options={"window": window})
         assert main(["oracle", "--config", write_config(tmp_path, doc)]) == 5
         out, err = capsys.readouterr()
         assert out == ""
-        assert err.startswith("config: /oracle/window: ") \
-            and f"frame of {window} slots" in err \
-            and f"has {slots} within" in err, err
+        assert err == f"config: /options/window: needs at least one frame " \
+            f"of {window} slots, but the trajectory has {slots}\n", err
 
     def test_constant_trace_zero_psi(self, tmp_path, capsys):
         trace = tmp_path / "trace.csv"
         trace.write_text("slot,p_1\n0,1.00\n1,1.00\n")
         doc = dict(BASE, horizon=2,
                    source={"kind": "trace", "path": str(trace)},
-                   oracle={"mode": "lookahead", "window": 2})
+                   oracle={"mode": "lookahead"}, options={"window": 2})
         main(["oracle", "--config", write_config(tmp_path, doc)])
         out = json.loads(capsys.readouterr().out)
         assert out["oracle"]["psi"] == ["0.00"]
 
 
+def test_options_window_is_every_frame_length(tmp_path, capsys, monkeypatch):
+    # One T: frame_drift's window, thm3's frames, the oracle's frames, the
+    # scaled run's frames and thm2's horizon grid all read options.window.
+    trace = tmp_path / "trace.csv"
+    trace.write_text("slot,p_1\n" + "".join(
+        f"{t},{1 + t % 3 // 2}.00\n" for t in range(6)))
+    doc = dict(BASE, horizon=6, options={"window": 2},
+               source={"kind": "trace", "path": str(trace)},
+               verify=["frame_drift", "thm3"], oracle={"mode": "lookahead"})
+    cfg = write_config(tmp_path, doc)
+    frames = []
+
+    def counted(spec, prices):
+        frames.append(len(prices))
+        return lookahead_psi(spec, prices)
+
+    monkeypatch.setattr(cli, "lookahead_psi", counted)
+    assert main(["run", "--config", cfg]) == 0
+    reports = json.loads(capsys.readouterr().out)["reports"]
+    assert reports["frame_drift"]["detail"]["window"] == 2
+    assert reports["thm3"]["verdict"] == "pass" and frames == [2, 2, 2]
+    assert main(["oracle", "--config", cfg]) == 0
+    oracle = json.loads(capsys.readouterr().out)["oracle"]
+    assert oracle["window"] == 2 and len(oracle["psi"]) == 3
+    assert main(["scaled", "--config", cfg]) == 0
+    scaled = json.loads(capsys.readouterr().out)["scaled"]
+    assert (scaled["frame"], scaled["frames_per_window"]) == (2, 3)
+    doc = dict(doc, source=MARKOV, verify=["thm2"], oracle={})
+    cli._check_statistical_config(config_from_json(doc))  # 6 slots hold T=2
+    with pytest.raises(ConfigError) as err:
+        cli._check_statistical_config(config_from_json(dict(doc, horizon=5)))
+    assert str(err.value) == \
+        "/horizon: horizon must be a multiple of the window"
+
+
 class TestScaledSubcommand:
     def test_beta_zero_flat(self, tmp_path):
-        doc = dict(BASE, scaled={"beta": 0, "frame": 4,
-                                 "frames_per_window": 10, "windows": 3})
+        doc = dict(BASE, options={"window": 4}, scaled={
+            "beta": 0, "frames_per_window": 10, "windows": 3})
         cfg = write_config(tmp_path, doc)
         assert main(["scaled", "--config", cfg,
                      "--out", str(tmp_path / "out")]) == 0
@@ -820,8 +927,8 @@ class TestScaledSubcommand:
         assert scales == [1.0, 1.0, 1.0]
 
     def test_profitable_scaling_grows(self, tmp_path):
-        doc = dict(BASE, scaled={"beta": 0.1, "frame": 4,
-                                 "frames_per_window": 50, "windows": 3})
+        doc = dict(BASE, options={"window": 4}, scaled={
+            "beta": 0.1, "frames_per_window": 50, "windows": 3})
         cfg = write_config(tmp_path, doc)
         main(["scaled", "--config", cfg, "--out", str(tmp_path / "out")])
         summary = read_summary(tmp_path)
@@ -830,10 +937,33 @@ class TestScaledSubcommand:
         csv_text = (tmp_path / "out" / "scaled_windows.csv").read_text()
         assert csv_text.startswith("window,profit_rate,scale")
 
+    def test_table_cost_with_positive_beta_rejected_before_any_window(
+            self, tmp_path, capsys, monkeypatch):
+        # A positive beta grows each trade cap; a table cost covers only
+        # 0..mu_max shares, so the pair fails before the first window.
+        from lyaptrade import trader
+
+        def no_run(*args, **kwargs):
+            raise AssertionError("a window ran")
+        table = {"kind": "table", "values": ["0", "0.05", "0.08"]}
+        doc = dict(BASE, market={
+            "stocks": [{"mu_max": 1, "p_max": "2.00"},
+                       {"mu_max": 2, "p_max": "2.00", "buy_cost": table}],
+            "budget": {"mode": "none"}}, source={
+            "kind": "iid", "support": [["1.00", "2.00"], ["2.00", "1.00"]],
+            "probs": [0.5, 0.5]}, scaled={"beta": 1, "windows": 2})
+        monkeypatch.setattr(trader, "run_profit", no_run)
+        assert main(["scaled", "--config", write_config(tmp_path, doc)]) == 5
+        err = capsys.readouterr().err
+        assert err.startswith("config: /scaled/beta: ") and "stock 1" in err
+        doc = dict(doc, scaled={"beta": 0, "windows": 2})
+        with pytest.raises(AssertionError, match="a window ran"):
+            main(["scaled", "--config", write_config(tmp_path, doc)])
+
 
     @pytest.mark.parametrize("beta", ["x", -1])
     def test_bad_beta_located(self, tmp_path, capsys, beta):
-        doc = dict(BASE, scaled={"beta": beta, "frame": 4})
+        doc = dict(BASE, scaled={"beta": beta}, options={"window": 4})
         assert main(["scaled", "--config", write_config(tmp_path, doc)]) == 5
         err = capsys.readouterr().err
         assert err.startswith("config: /scaled/beta: ")

@@ -572,7 +572,7 @@ def test_thm3_checks_every_frame_and_keeps_a_passing_report():
         bad = next((m for m, r in enumerate(lemmas) if not r.ok), None)
         if bad is None:
             assert got == verify_thm3(traj, [f.psi_cents for f in frames],
-                                      M, T), trial
+                                      T), trial
         else:
             assert got == BoundReport(
                 FAIL, lemmas[bad].slack, {"rep": 2, "t0": bad * T},
