@@ -9,11 +9,11 @@ function: same inputs, same report.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import compress
 from operator import itemgetter, mul, sub
 
+from ._record import Record, factory
 from .errors import StatisticalPowerError, StructuralError
 from .market import (BUY_LIMIT, SELL_LIMIT, MarketSpec, TradeDecision,
                      slot_profit, validate_decision)
@@ -23,8 +23,7 @@ from .trader import TraderParams, Trajectory, queue_band, scaled_terms
 PASS, FAIL, VACUOUS = "pass", "fail", "vacuous-pass"
 
 
-@dataclass(frozen=True)
-class BoundConstants:
+class BoundConstants(Record, frozen=True):
     """Constants in the drift and profit bounds, in dollar/share units."""
 
     B: Fraction
@@ -36,12 +35,11 @@ class BoundConstants:
     epsilon: Fraction
 
 
-@dataclass
-class BoundReport:
+class BoundReport(Record):
     verdict: str
     slack: float = math.inf      # worst-case margin; negative iff fail
     locus: object = None         # slot/frame/stock of the tightest point
-    detail: dict = field(default_factory=dict)
+    detail: dict = factory(dict)
 
     @property
     def ok(self) -> bool:
@@ -50,7 +48,7 @@ class BoundReport:
     def merge(self, other: "BoundReport") -> "BoundReport":
         worse = self if (not self.ok, self.slack) <= (not other.ok, other.slack) \
             else other
-        return BoundReport(worse.verdict, worse.slack, worse.locus, worse.detail)
+        return worse.replace()
 
     def to_json(self) -> dict:
         return {"verdict": self.verdict,

@@ -20,7 +20,6 @@ import hashlib
 import json
 import os
 import sys
-from dataclasses import replace
 from fractions import Fraction
 
 from . import __version__
@@ -415,7 +414,7 @@ def main(argv=None) -> int:
             raise ConfigError(f"must be at least 1, got {args.jobs}", "--jobs")
         cfg = load_config(args.config)
         if args.seed is not None:
-            cfg = replace(cfg, seed=args.seed)
+            cfg = cfg.replace(seed=args.seed)
         if args.command == "run":
             return cmd_run(cfg, args.out, args.jobs)
         if args.command == "oracle":

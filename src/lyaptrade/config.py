@@ -9,11 +9,11 @@ canonical money formatting.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
 from fractions import Fraction
 
+from ._record import Record, factory
 from .errors import ConfigError
-from .market import MarketSpec
+from .market import MarketSpec, _located
 from .money import _integer, to_cents
 from .prices import MarkovPriceModel, PriceDistribution, load_trace
 from .trader import TraderParams
@@ -33,10 +33,21 @@ INTEGER_OPTIONS = {
     "oracle": {"mode": None},
     "scaled": {"beta": Fraction(0), "frames_per_window": 1, "windows": 1},
 }
+# The keys of the sections that hold no integer option; a source's
+# depend on its kind.
+COST_KEYS = ("kind", "rate", "fee", "values", "max")
+SECTION_KEYS = {
+    "trader": ("V", "theta", "initial_queue", "placeholder", "buy_solver"),
+    "market": ("stocks", "budget"),
+    "stock": ("mu_max", "p_max", "buy_cost", "sell_cost"),
+    "budget": ("mode", "value"),
+}
+SOURCE_KEYS = {"iid": ("kind", "support", "probs"),
+               "markov": ("kind", "states", "transition"),
+               "trace": ("kind", "path", "cap_policy")}
 
 
-@dataclass(frozen=True)
-class SourceConfig:
+class SourceConfig(Record, frozen=True):
     kind: str                     # "iid" | "markov" | "trace"
     dist: PriceDistribution | None = None
     model: MarkovPriceModel | None = None
@@ -54,8 +65,7 @@ class SourceConfig:
         return trace, spec.with_p_max(caps)
 
 
-@dataclass(frozen=True)
-class ExperimentConfig:
+class ExperimentConfig(Record, frozen=True):
     market: MarketSpec
     trader: TraderParams
     source: SourceConfig
@@ -63,9 +73,9 @@ class ExperimentConfig:
     seed: int
     replications: int = 1
     verify: tuple = ()
-    oracle: dict = field(default_factory=dict)
-    scaled: dict = field(default_factory=dict)
-    options: dict = field(default_factory=dict)
+    oracle: dict = factory(dict)
+    scaled: dict = factory(dict)
+    options: dict = factory(dict)
     write_trajectories: bool = False
 
     def __post_init__(self):
@@ -126,31 +136,34 @@ def _list(obj, key) -> list:
 
 
 def _parse_source(obj) -> SourceConfig:
-    if not isinstance(obj, dict) or "kind" not in obj:
+    if "kind" not in obj:
         raise ConfigError("source needs a 'kind' field", location="/source")
     kind = obj["kind"]
-    try:
-        if kind == "iid":
-            support = tuple(_price_vector(v, "/source/support")
-                            for v in _list(obj, "support"))
-            probs = tuple(_rational(p, f"/source/probs/{i}")
-                          for i, p in enumerate(_list(obj, "probs")))
-            return SourceConfig("iid", dist=PriceDistribution(support, probs))
-        if kind == "markov":
-            states = tuple(_price_vector(v, "/source/states")
-                           for v in _list(obj, "states"))
-            model = MarkovPriceModel(states, tuple(
-                _transition_row(row, f"/source/transition/{i}")
-                for i, row in enumerate(_list(obj, "transition"))))
-            return SourceConfig("markov", model=model)
-        if kind == "trace":
-            policy = obj.get("cap_policy", "reject")
-            if policy not in ("reject", "auto_expand"):
-                raise ConfigError(f"unknown cap policy {policy!r}",
-                                  location="/source/cap_policy")
-            return SourceConfig("trace", path=obj["path"], cap_policy=policy)
-    except KeyError as exc:
-        raise ConfigError(f"missing field {exc}", location="/source") from exc
+    if kind == "iid":
+        support = tuple(_price_vector(v, "/source/support")
+                        for v in _list(obj, "support"))
+        probs = tuple(_rational(p, f"/source/probs/{i}")
+                      for i, p in enumerate(_list(obj, "probs")))
+        if len(probs) != len(support):
+            raise ConfigError(f"has {len(probs)} entries, the support has "
+                              f"{len(support)}", location="/source/probs")
+        return SourceConfig("iid", dist=PriceDistribution(support, probs))
+    if kind == "markov":
+        states = tuple(_price_vector(v, "/source/states")
+                       for v in _list(obj, "states"))
+        model = MarkovPriceModel(states, tuple(
+            _transition_row(row, f"/source/transition/{i}")
+            for i, row in enumerate(_list(obj, "transition"))))
+        return SourceConfig("markov", model=model)
+    if kind == "trace":
+        policy = obj.get("cap_policy", "reject")
+        if policy not in ("reject", "auto_expand"):
+            raise ConfigError(f"unknown cap policy {policy!r}",
+                              location="/source/cap_policy")
+        if not isinstance(path := obj["path"], str):
+            raise ConfigError(f"{path!r} is not a file name",
+                              location="/source/path")
+        return SourceConfig("trace", path=path, cap_policy=policy)
     raise ConfigError(f"unknown source kind {kind!r}", location="/source/kind")
 
 
@@ -196,20 +209,46 @@ def load_config(path) -> ExperimentConfig:
     return config_from_json(doc)
 
 
+def _known_keys(obj, keys, where) -> dict:
+    """obj, or {} when it is not an object (its reader says so); a key of
+    obj outside keys is a ConfigError at where/<key>."""
+    if not isinstance(obj, dict):
+        return {}
+    for key in obj:
+        if key not in keys:
+            raise ConfigError(
+                f"unknown key {key!r} (known: {', '.join(keys)})"
+                + ("; the frame length T is options.window"
+                   if key in ("window", "frame") else ""),
+                location=f"{where}/{key}")
+    return obj
+
+
+def _section_keys(doc):
+    """_known_keys over the trader, market and source sections."""
+    _known_keys(doc.get("trader"), SECTION_KEYS["trader"], "/trader")
+    market = _known_keys(doc.get("market"), SECTION_KEYS["market"], "/market")
+    _known_keys(market.get("budget"), SECTION_KEYS["budget"], "/market/budget")
+    stocks = market.get("stocks")
+    for i, stock in enumerate(stocks if isinstance(stocks, list) else ()):
+        where = f"/market/stocks/{i}"
+        stock = _known_keys(stock, SECTION_KEYS["stock"], where)
+        for side in ("buy_cost", "sell_cost"):
+            _known_keys(stock.get(side), COST_KEYS, f"{where}/{side}")
+    source = doc.get("source")
+    for kind, keys in SOURCE_KEYS.items():
+        if isinstance(source, dict) and source.get("kind") == kind:
+            _known_keys(source, keys, "/source")
+
+
 def config_from_json(doc) -> ExperimentConfig:
-    # The document and its sections are objects of the keys in the table.
+    # The document and its sections are objects of the keys in the tables.
     for section, keys in INTEGER_OPTIONS.items():
-        where = f"/{section}" if section else ""
         obj = doc.get(section, {}) if section else doc
         if not isinstance(obj, dict):
-            raise ConfigError("must be an object", location=where or "/")
-        for key in obj:
-            if key not in keys:
-                raise ConfigError(
-                    f"unknown key {key!r} (known: {', '.join(keys)})"
-                    + ("; the frame length T is options.window"
-                       if key in ("window", "frame") else ""),
-                    location=f"{where}/{key}")
+            raise ConfigError("must be an object", location=f"/{section}")
+        _known_keys(obj, keys, f"/{section}" if section else "")
+    _section_keys(doc)
     for key in ("market", "trader", "source", "horizon"):
         if key not in doc:
             raise ConfigError(f"missing top-level field {key!r}",
@@ -225,7 +264,7 @@ def config_from_json(doc) -> ExperimentConfig:
             raise ConfigError(f"has {len(value)} entries, the market has "
                               f"{market.n_stocks} stocks",
                               location=f"/trader/{name}")
-    source = _parse_source(doc["source"])
+    source = _located("/source", _parse_source, doc["source"])
     if not isinstance(doc.get("verify", []), list):
         raise ConfigError("must be a list of check names", location="/verify")
     return ExperimentConfig(

@@ -7,8 +7,7 @@ Money is integer cents throughout (see money.py).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
+from ._record import Record, factory
 from .errors import ConfigError, ParseError, StructuralError
 from .money import _integer, to_cents
 
@@ -20,8 +19,7 @@ BUY_LIMIT = "buy_limit"            # per-stock per-slot buy cap
 BUDGET = "budget"                  # money or total-share purchase budget
 
 
-@dataclass(frozen=True)
-class CostFunction:
+class CostFunction(Record, frozen=True):
     """Transaction cost schedule for one side (buy or sell) of one stock.
 
     kind is one of "zero", "linear", "fixed", "table".  All money fields
@@ -111,15 +109,14 @@ class CostFunction:
         return out
 
 
-@dataclass(frozen=True)
-class StockSpec:
+class StockSpec(Record, frozen=True):
     """Per-stock limits and cost schedules.  p_max is in cents."""
 
     index: int
     mu_max: int
     p_max: int
-    buy_cost: CostFunction = field(default_factory=CostFunction)
-    sell_cost: CostFunction = field(default_factory=CostFunction)
+    buy_cost: CostFunction = factory(CostFunction)
+    sell_cost: CostFunction = factory(CostFunction)
 
     def __post_init__(self):
         if self.mu_max < 1:
@@ -142,8 +139,7 @@ class StockSpec:
         return a * p + self.buy_cost(a)
 
 
-@dataclass(frozen=True)
-class BudgetMode:
+class BudgetMode(Record, frozen=True):
     """Purchase budget: per-slot money cap, total-share cap, or none."""
 
     mode: str = "none"        # "money" | "shares" | "none"
@@ -169,10 +165,9 @@ class BudgetMode:
         return (0,) * len(prices), 0
 
 
-@dataclass(frozen=True)
-class MarketSpec:
+class MarketSpec(Record, frozen=True):
     stocks: tuple
-    budget: BudgetMode = field(default_factory=BudgetMode)
+    budget: BudgetMode = factory(BudgetMode)
 
     def __post_init__(self):
         stocks = tuple(self.stocks)
@@ -181,19 +176,6 @@ class MarketSpec:
         if [s.index for s in stocks] != list(range(len(stocks))):
             raise ConfigError("stock indices must be contiguous from 0")
         object.__setattr__(self, "stocks", stocks)
-
-    def __hash__(self) -> int:
-        """The dataclass hash, walked through every stock once per spec and
-        process: the caches keyed by a spec hash it on every lookup."""
-        h = self.__dict__.get("_hash")
-        if h is None:
-            h = hash((self.stocks, self.budget))
-            object.__setattr__(self, "_hash", h)
-        return h
-
-    def __getstate__(self) -> dict:
-        # String hashes differ between processes: a pickled spec re-hashes.
-        return {k: v for k, v in self.__dict__.items() if k != "_hash"}
 
     @property
     def n_stocks(self) -> int:
@@ -215,16 +197,18 @@ class MarketSpec:
 
     def with_p_max(self, new_caps) -> "MarketSpec":
         """Copy of this spec with raised per-stock price caps."""
-        stocks = tuple(
-            StockSpec(s.index, s.mu_max, max(s.p_max, int(c)), s.buy_cost, s.sell_cost)
-            for s, c in zip(self.stocks, new_caps))
-        return MarketSpec(stocks, self.budget)
+        return self.replace(stocks=tuple(
+            s.replace(p_max=max(s.p_max, int(c)))
+            for s, c in zip(self.stocks, new_caps)))
 
     @staticmethod
     def from_json(obj) -> "MarketSpec":
         try:
             stocks = tuple(_located(f"/market/stocks/{i}", _stock_from_json,
                                     s, i) for i, s in enumerate(obj["stocks"]))
+            if not stocks:
+                raise ConfigError("need at least one stock",
+                                  location="/market/stocks")
             budget = _located("/market/budget", _budget_from_json,
                               obj.get("budget", {"mode": "none"}))
         except (KeyError, TypeError, ValueError, ParseError) as exc:
@@ -286,8 +270,7 @@ def _budget_from_json(b) -> BudgetMode:
     return BudgetMode("none")
 
 
-@dataclass(frozen=True)
-class TradeDecision:
+class TradeDecision(Record, frozen=True):
     """Integer buy and sell vectors for one slot."""
 
     buys: tuple
@@ -304,8 +287,7 @@ class TradeDecision:
         return TradeDecision((0,) * n, (0,) * n)
 
 
-@dataclass(frozen=True)
-class Feasibility:
+class Feasibility(Record, frozen=True):
     ok: bool
     violations: tuple = ()
 

@@ -12,12 +12,12 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import repeat
 from operator import add, getitem, mul
 from typing import NamedTuple
 
+from ._record import Record
 from .errors import CapacityError, StructuralError
 from .market import MarketSpec, TradeDecision, slot_profit
 from .money import cents_to_units
@@ -28,8 +28,7 @@ DEFAULT_ENUM_CAP = 10 ** 6
 DEFAULT_SEARCH_CAP = 10 ** 8  # lookahead DP states
 
 
-@dataclass(frozen=True)
-class ActionSet:
+class ActionSet(Record, frozen=True):
     """All feasible (buys, sells) pairs for one price vector."""
 
     price: tuple
@@ -77,15 +76,13 @@ def enumerate_actions(spec: MarketSpec, prices, queue=None) -> ActionSet:
                                    for buys in buy_set for sells in sell_set))
 
 
-@dataclass(frozen=True)
-class PonlyPolicy:
+class PonlyPolicy(Record, frozen=True):
     """Conditional distribution over feasible actions per support price."""
 
     table: tuple  # tuple of (price, tuple of (TradeDecision, Fraction))
 
 
-@dataclass(frozen=True)
-class PonlySolution:
+class PonlySolution(Record, frozen=True):
     policy: PonlyPolicy
     phi_opt: Fraction        # dollars per slot
     drifts: tuple            # per-stock Fractions, all >= 0
@@ -184,8 +181,7 @@ def drift_rebalance(solution: PonlySolution) -> PonlySolution:
     return PonlySolution(policy, profit, drifts, spec, dist)
 
 
-@dataclass(frozen=True)
-class LookaheadResult:
+class LookaheadResult(Record, frozen=True):
     psi_cents: int
     decisions: tuple  # length-T TradeDecision sequence
 

@@ -10,11 +10,11 @@ from __future__ import annotations
 
 import csv
 from bisect import bisect_right
-from dataclasses import dataclass
 from decimal import Decimal, InvalidOperation
 from itertools import accumulate, islice
 from typing import TYPE_CHECKING
 
+from ._record import Record
 from .errors import ConfigError, ParseError, StructuralError
 from .market import MarketSpec
 from .money import _as_fraction, cents_to_str
@@ -29,8 +29,7 @@ def make_rng(seed: int, stream: int = 0) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(np.random.SeedSequence([int(seed), int(stream)])))
 
 
-@dataclass(frozen=True)
-class PriceDistribution:
+class PriceDistribution(Record, frozen=True):
     """Finite-support distribution over price vectors (cents).
 
     Probabilities are kept as exact Fractions (normalized on load) so the
@@ -68,8 +67,7 @@ class PriceDistribution:
         return np.array([float(p) for p in self.probs])
 
 
-@dataclass(frozen=True)
-class MarkovPriceModel:
+class MarkovPriceModel(Record, frozen=True):
     """Irreducible finite-state chain emitting one price vector per state;
     floats are read through their repr, so 0.4 is exactly 2/5."""
 
@@ -124,8 +122,7 @@ class MarkovPriceModel:
             spec.check_prices(vec)
 
 
-@dataclass(frozen=True)
-class PriceTrace:
+class PriceTrace(Record, frozen=True):
     """A replayable finite price sequence with provenance."""
 
     sequence: tuple

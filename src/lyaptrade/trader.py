@@ -19,11 +19,11 @@ import csv
 import functools
 import math
 import os
-from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import repeat
 from operator import add, floordiv, itemgetter, sub
 
+from ._record import Record, factory
 from .errors import CapacityError, ConfigError, StructuralError
 from .market import MarketSpec
 from .money import _as_fraction, _integer, cents_to_str, cents_to_units
@@ -56,8 +56,7 @@ def compute_theta(spec: MarketSpec, V) -> tuple:
     return tuple(V * cents_to_units(s.p_max) + 2 * s.mu_max for s in spec.stocks)
 
 
-@dataclass(frozen=True)
-class TraderParams:
+class TraderParams(Record, frozen=True):
     """Tuning knobs for the per-slot policy.
 
     theta and initial_queue default to the conforming choices (target rule
@@ -130,8 +129,7 @@ def queue_band(spec: MarketSpec, params: TraderParams) -> tuple:
                  for s in spec.stocks)
 
 
-@dataclass(frozen=True)
-class ScaledTerms:
+class ScaledTerms(Record, frozen=True):
     """The slot objective's integer frame for one (spec, params) pair.
 
     S = lcm(100 * den(V), den(theta_n)) scales the objective so every
@@ -417,18 +415,17 @@ def _csv_header(n: int) -> list:
             + [f"Q_{i+1}" for i in range(n)] + ["profit"])
 
 
-@dataclass
-class Trajectory:
+class Trajectory(Record):
     """Per-slot record of one run; the input every verifier consumes."""
 
     spec: MarketSpec
     params: TraderParams
     initial_queue: tuple
-    prices: list = field(default_factory=list)
-    buys: list = field(default_factory=list)
-    sells: list = field(default_factory=list)
-    queues: list = field(default_factory=list)   # post-decision
-    profits: list = field(default_factory=list)  # cents
+    prices: list = factory(list)
+    buys: list = factory(list)
+    sells: list = factory(list)
+    queues: list = factory(list)   # post-decision
+    profits: list = factory(list)  # cents
 
     @property
     def n_slots(self) -> int:

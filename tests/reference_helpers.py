@@ -9,16 +9,50 @@ one-slot drift expansion and its shifted-queue step, read a place-holder
 book's actual holdings and the start-up purchase it avoids, and read a
 price-only policy's table.  `reference_scaled_terms` is the scaled frame
 as `SlotSolver.__init__` built it for itself, the reference for
-`lyaptrade.trader.scaled_terms`.
+`lyaptrade.trader.scaled_terms`.  `reference_record` rebuilds a record
+class with `dataclasses`, the reference for the package's record base.
 """
 
+import dataclasses
 import math
 from fractions import Fraction
 
+from lyaptrade._record import factory
 from lyaptrade.analysis import (FAIL, PASS, BoundReport, _phi_dollars,
                                 compute_constants, lyapunov)
 from lyaptrade.errors import StructuralError
 from lyaptrade.market import TradeDecision, validate_decision
+
+
+def replace(record, **changes):
+    """`record.replace(**changes)`, in the spelling of `dataclasses.replace`."""
+    return record.replace(**changes)
+
+
+# What the record base adds to each record class, which the reference
+# gets from `dataclasses` instead.
+_RECORD_MADE = {"__module__", "__qualname__", "__doc__", "__annotations__",
+                "_fields", "__hash__", "__setattr__", "__delattr__"}
+
+
+def reference_record(cls, frozen: bool):
+    """The record class `cls` as `dataclasses.make_dataclass` builds it:
+    the same fields, class defaults (`factory` ones as default factories)
+    and methods, `frozen` as given."""
+    own = vars(cls)
+    fields = []
+    for name in own["__annotations__"]:
+        if name not in own:
+            fields.append((name, object))
+        elif isinstance(own[name], factory):
+            fields.append((name, object,
+                           dataclasses.field(default_factory=own[name].make)))
+        else:
+            fields.append((name, object, dataclasses.field(default=own[name])))
+    methods = {k: v for k, v in own.items()
+               if k not in _RECORD_MADE and k not in own["__annotations__"]}
+    return dataclasses.make_dataclass(cls.__name__, fields, namespace=methods,
+                                      frozen=frozen)
 
 
 def _check_alternative(spec, prices, d: TradeDecision):

@@ -4,7 +4,6 @@ every run checks the identical corpus."""
 
 import random
 import time
-from dataclasses import replace
 from fractions import Fraction
 
 from lyaptrade import (MarkovPriceModel, TraderParams, drift_rebalance,
@@ -21,7 +20,7 @@ from lyaptrade.trader import SlotSolver, scaled_terms
 from conftest import (adversarial_trace, buy_coeffs, one_stock_spec,
                       random_dist, random_small_spec,
                       random_trace, uniform_two_price)
-from reference_helpers import real_queue_at, startup_cost
+from reference_helpers import real_queue_at, replace, startup_cost
 from test_oracles import deterministic_phi_opt
 
 

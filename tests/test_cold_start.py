@@ -1,5 +1,5 @@
 """What a command loads: numpy, the process pool and the rational simplex
-only when it uses them.
+only when it uses them, and never `dataclasses` or `inspect`.
 
 Each case runs in a fresh interpreter, since this one has long since
 imported all three.
@@ -26,8 +26,9 @@ ROWS = ["0,1.00,3.00", "1,2.00,1.50", "2,0.50,2.00", "3,1.50,0.00",
 
 def loaded_after(tmp_path, body: str, blas=None) -> dict:
     """Run `body` in a fresh interpreter, with OPENBLAS_NUM_THREADS set
-    to `blas` or unset; report which of numpy, the process pool and the
-    simplex it left in sys.modules, and what it stored in `out`."""
+    to `blas` or unset; report which of numpy, the process pool, the
+    simplex, `dataclasses` and `inspect` it left in sys.modules, and what
+    it stored in `out`."""
     script = "\n".join([
         "import json, sys",
         "out = {}",
@@ -35,6 +36,8 @@ def loaded_after(tmp_path, body: str, blas=None) -> dict:
         "out['numpy'] = 'numpy' in sys.modules",
         "out['pool'] = 'concurrent.futures.process' in sys.modules",
         "out['simplex'] = 'lyaptrade.simplex' in sys.modules",
+        "out['dataclasses'] = 'dataclasses' in sys.modules",
+        "out['inspect'] = 'inspect' in sys.modules",
         "print(json.dumps(out))",
     ])
     env = dict(os.environ)
@@ -67,6 +70,8 @@ def cli_main(*argv) -> str:
 def test_import_loads_neither(tmp_path):
     out = loaded_after(tmp_path, "import lyaptrade.cli")
     assert (out["numpy"], out["pool"], out["simplex"]) == (False,) * 3
+    # The records build their methods without generating code.
+    assert (out["dataclasses"], out["inspect"]) == (False, False)
 
 
 def test_trace_run_at_one_job_loads_neither(tmp_path):
@@ -76,6 +81,7 @@ def test_trace_run_at_one_job_loads_neither(tmp_path):
                                           "--out", "out"))
     assert out["code"] == 0
     assert (out["numpy"], out["pool"], out["simplex"]) == (False,) * 3
+    assert (out["dataclasses"], out["inspect"]) == (False, False)
 
 
 def test_lookahead_oracle_loads_neither(tmp_path):

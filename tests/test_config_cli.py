@@ -124,6 +124,9 @@ class TestConfig:
          "/trader/initial_queue/0"),
         ({"verify": 3}, "/verify"),
         ({"trader": 3}, "/trader"),
+        ({"market": {"stocks": [], "budget": {"mode": "none"}}},
+         "/market/stocks"),
+        ({"source": dict(BASE["source"], probs=[1])}, "/source/probs"),
     ], ids=["probs-entry", "row-not-list", "row-sum", "horizon", "seed",
             "replications", "window", "window-zero", "optimality-slots",
             "oracle-window", "scaled-frame", "horizon-fractional",
@@ -136,7 +139,7 @@ class TestConfig:
             "cost-not-an-object", "transition-not-a-list",
             "oracle-not-an-object", "options-not-an-object",
             "initial-queue-negative", "verify-not-a-list",
-            "trader-not-an-object"])
+            "trader-not-an-object", "no-stocks", "probs-length"])
     def test_bad_field_located(self, tmp_path, capsys, change, location):
         doc = dict(BASE, **change)
         assert main(["run", "--config", write_config(tmp_path, doc)]) == 5
@@ -151,11 +154,28 @@ class TestConfig:
         ("run", {"options": {"windw": 8}}, "/options/windw"),
         ("run", {"verfy": ["dynamics"]}, "/verfy"),
         ("run", {"options": {"window": 2}, "window": 2}, "/window"),
+        ("run", {"trader": {"V": "50", "thetaa": ["1"]}}, "/trader/thetaa"),
+        ("run", {"source": dict(BASE["source"], prob=[1])}, "/source/prob"),
+        ("run", {"source": dict(MARKOV, probs=[1])}, "/source/probs"),
+        ("oracle", {"source": {"kind": "trace", "path": "t.csv",
+                               "support": [["1.00"]]}}, "/source/support"),
+        ("run", {"market": dict(BASE["market"], stock=[])}, "/market/stock"),
+        ("run", {"market": {"stocks": [{"mu_max": 1, "p_max": "2.00",
+                                        "mu_maxx": 2}]}},
+         "/market/stocks/0/mu_maxx"),
+        ("run", {"market": {"stocks": [{"mu_max": 1, "p_max": "2.00"}, {
+            "mu_max": 1, "p_max": "2.00",
+            "sell_cost": {"kind": "linear", "rate": "0.01", "fees": "1"}}]}},
+         "/market/stocks/1/sell_cost/fees"),
+        ("verify", {"market": {"stocks": [{"mu_max": 1, "p_max": "2.00"}],
+                               "budget": {"mode": "none", "valu": 3}}},
+         "/market/budget/valu"),
     ])
     def test_unknown_key_located(self, tmp_path, capsys, command, change,
                                  location):
-        # Only the keys INTEGER_OPTIONS names are read; a typo or a removed
-        # frame length is an error at its own pointer, not ignored.
+        # Only the keys config's key tables name are read; a typo, a key
+        # of another source kind or a removed frame length is an error at
+        # its own pointer, not ignored.
         doc = dict(BASE, **change)
         assert main([command, "--config", write_config(tmp_path, doc)]) == 5
         err = capsys.readouterr().err
@@ -163,6 +183,14 @@ class TestConfig:
         assert "Traceback" not in err
         if location.endswith(("/window", "/frame")):
             assert "the frame length T is options.window" in err, err
+
+    @pytest.mark.parametrize("path", [3, ["prices.csv"]])
+    def test_trace_path_is_a_file_name(self, tmp_path, capsys, path):
+        # open(3) would read whatever file descriptor 3 is.
+        doc = dict(BASE, source={"kind": "trace", "path": path})
+        assert main(["run", "--config", write_config(tmp_path, doc)]) == 5
+        assert capsys.readouterr().err == (
+            f"config: /source/path: {path!r} is not a file name\n")
 
     @pytest.mark.parametrize("market, location", [
         ({"budget": {"mode": "moneyy", "value": "4.00"}},

@@ -12,7 +12,6 @@ import hashlib
 import io
 import json
 import random
-from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -26,6 +25,7 @@ from lyaptrade.oracles import drift_rebalance, solve_phi_opt
 from lyaptrade.prices import stationary_distribution
 
 from conftest import random_dist, random_small_spec, random_trace
+from reference_helpers import replace
 
 FIXED = CostFunction("fixed", fee=5)
 LINEAR = CostFunction("linear", rate=2)

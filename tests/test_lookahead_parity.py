@@ -14,7 +14,6 @@ budget mode, value, decisions and capacity errors alike.
 import itertools
 import math
 import random
-from dataclasses import replace
 from operator import mul
 
 import pytest
@@ -26,6 +25,7 @@ from lyaptrade.oracles import (DEFAULT_ENUM_CAP, DEFAULT_SEARCH_CAP,
                                LookaheadResult, enumerate_actions)
 from lyaptrade.trader import capacity_cells
 
+from reference_helpers import replace
 from test_slot_parity import COST_KINDS, _cost
 from test_verifier_parity import outcome
 

@@ -9,7 +9,6 @@ with the live code on seeded random instances.
 """
 
 import random
-from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -22,7 +21,7 @@ from lyaptrade.market import TradeDecision
 from lyaptrade.oracles import brute_force_slot_min, enumerate_actions
 from lyaptrade.trader import SlotSolver, queue_band, scaled_terms
 
-from reference_helpers import reference_scaled_terms
+from reference_helpers import reference_scaled_terms, replace
 
 
 class ReferenceSolver(SlotSolver):

@@ -3,9 +3,9 @@ windowed scaling."""
 
 import io
 import json
+import pickle
 import random
 import tracemalloc
-from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -22,7 +22,7 @@ from lyaptrade.trader import SlotSolver
 
 from conftest import (buy_coeffs, one_stock_spec, random_small_spec,
                       uniform_two_price)
-from reference_helpers import real_queue_at, startup_cost
+from reference_helpers import real_queue_at, replace, startup_cost
 
 
 class TestTheta:
@@ -45,6 +45,31 @@ class TestTheta:
     def test_band(self):
         spec = one_stock_spec(mu_max=2, p_max_cents=1000)
         assert queue_band(spec, TraderParams(V=100)) == ((2, 1006),)
+
+
+class TestParamsHash:
+    """Params hash their V and theta once per process, not on every
+    lookup of the caches keyed by them, as a spec does."""
+
+    @staticmethod
+    def params():
+        return TraderParams(V=Fraction(101, 3), theta=("7/2", 5),
+                            initial_queue=(1, 2))
+
+    def test_hash_is_kept_once_computed(self, monkeypatch):
+        params = self.params()
+        first = hash(params)
+        monkeypatch.setattr(Fraction, "__hash__", None)  # unhashable now
+        assert hash(params) == first
+
+    def test_pickled_params_rehash(self):
+        # String hashes differ between processes, so the kept hash is
+        # not pickled with the params.
+        params = self.params()
+        hash(params)
+        again = pickle.loads(pickle.dumps(params))
+        assert "_hash" in vars(params) and "_hash" not in vars(again)
+        assert again == params and hash(again) == hash(params)
 
 
 class TestSell:
